@@ -21,6 +21,19 @@
 namespace dbpc {
 namespace {
 
+/// One ConversionRequest per corpus program, with service-default options.
+std::vector<ConversionRequest> ToRequests(
+    const std::vector<CorpusProgram>& corpus) {
+  std::vector<ConversionRequest> requests;
+  requests.reserve(corpus.size());
+  for (const CorpusProgram& entry : corpus) {
+    ConversionRequest request;
+    request.program = entry.program;
+    requests.push_back(std::move(request));
+  }
+  return requests;
+}
+
 void BM_ServiceScaling(benchmark::State& state) {
   const int jobs = static_cast<int>(state.range(0));
   const int corpus_size = static_cast<int>(state.range(1));
@@ -35,24 +48,20 @@ void BM_ServiceScaling(benchmark::State& state) {
   std::unique_ptr<ConversionService> service = bench::Value(
       ConversionService::Create(db.schema(), plan, options), "create service");
 
-  std::vector<CorpusProgram> corpus = GenerateCompanyCorpus(corpus_size, 1979);
-  std::vector<Program> programs;
-  programs.reserve(corpus.size());
-  for (const CorpusProgram& entry : corpus) {
-    programs.push_back(entry.program);
-  }
+  std::vector<ConversionRequest> requests =
+      ToRequests(GenerateCompanyCorpus(corpus_size, 1979));
 
   int accepted = 0;
   for (auto _ : state) {
     SystemConversionReport report =
-        bench::Value(service->ConvertSystem(programs), "convert system");
+        bench::Value(service->ConvertSystem(requests), "convert system");
     accepted = report.accepted;
     benchmark::DoNotOptimize(report);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(programs.size()));
+                          static_cast<int64_t>(requests.size()));
   state.counters["jobs"] = jobs;
-  state.counters["programs"] = static_cast<double>(programs.size());
+  state.counters["programs"] = static_cast<double>(requests.size());
   state.counters["accepted"] = accepted;
 }
 
@@ -79,12 +88,8 @@ void RunTracingArm(benchmark::State& state, bool traced) {
   owned.push_back(MakeIntroduceIntermediate(bench::Figure44Params()));
   std::vector<const Transformation*> plan{owned[0].get()};
 
-  std::vector<CorpusProgram> corpus = GenerateCompanyCorpus(corpus_size, 1979);
-  std::vector<Program> programs;
-  programs.reserve(corpus.size());
-  for (const CorpusProgram& entry : corpus) {
-    programs.push_back(entry.program);
-  }
+  std::vector<ConversionRequest> requests =
+      ToRequests(GenerateCompanyCorpus(corpus_size, 1979));
 
   size_t roots = 0;
   for (auto _ : state) {
@@ -98,7 +103,7 @@ void RunTracingArm(benchmark::State& state, bool traced) {
         "create service");
     auto start = std::chrono::steady_clock::now();
     SystemConversionReport report =
-        bench::Value(service->ConvertSystem(programs), "convert system");
+        bench::Value(service->ConvertSystem(requests), "convert system");
     auto stop = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(report);
     roots = spans.RootCount();
@@ -107,9 +112,9 @@ void RunTracingArm(benchmark::State& state, bool traced) {
             .count());
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(programs.size()));
+                          static_cast<int64_t>(requests.size()));
   state.counters["jobs"] = jobs;
-  state.counters["programs"] = static_cast<double>(programs.size());
+  state.counters["programs"] = static_cast<double>(requests.size());
   state.counters["spans.roots"] = static_cast<double>(roots);
 }
 

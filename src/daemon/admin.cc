@@ -7,12 +7,9 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <string.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#endif
 
 #include <chrono>
 #include <cstdio>
@@ -23,16 +20,6 @@
 #include "common/log.h"
 
 namespace dbpc {
-
-#if !defined(__linux__)
-// Reactor mode never runs off Linux (the daemon only passes a reactor under
-// io_model=epoll, which Validate rejects there); only the mask constants
-// are needed to compile.
-constexpr uint32_t EPOLLIN = 0x001;
-constexpr uint32_t EPOLLOUT = 0x004;
-constexpr uint32_t EPOLLERR = 0x008;
-constexpr uint32_t EPOLLHUP = 0x010;
-#endif
 
 namespace {
 
@@ -236,7 +223,7 @@ std::string RenderPrometheusText(const MetricsSnapshot& snapshot) {
 // --- AdminServer ---
 
 AdminServer::AdminServer(AdminOptions options, AdminHooks hooks,
-                         Reactor* reactor)
+                         Reactor& reactor)
     : options_(std::move(options)),
       hooks_(std::move(hooks)),
       reactor_(reactor) {}
@@ -245,7 +232,7 @@ AdminServer::~AdminServer() { Stop(); }
 
 Result<std::unique_ptr<AdminServer>> AdminServer::Start(AdminOptions options,
                                                         AdminHooks hooks,
-                                                        Reactor* reactor) {
+                                                        Reactor& reactor) {
   if (hooks.metrics == nullptr) {
     return Status::InvalidArgument("AdminHooks::metrics must be set");
   }
@@ -257,20 +244,13 @@ Result<std::unique_ptr<AdminServer>> AdminServer::Start(AdminOptions options,
   std::unique_ptr<AdminServer> server(
       new AdminServer(std::move(options), std::move(hooks), reactor));
   DBPC_RETURN_IF_ERROR(server->Listen());
-  if (server->reactor_ != nullptr) {
-    std::promise<Status> registered;
-    AdminServer* raw = server.get();
-    server->reactor_->Post(
-        [raw, &registered] { registered.set_value(raw->RegisterOnLoop()); });
-    Status status = registered.get_future().get();
-    if (!status.ok()) return status;
-  } else {
-    server->accept_thread_ =
-        std::thread([raw = server.get()] { raw->AcceptLoop(); });
-  }
+  std::promise<Status> registered;
+  AdminServer* raw = server.get();
+  reactor.Post(
+      [raw, &registered] { registered.set_value(raw->RegisterOnLoop()); });
+  DBPC_RETURN_IF_ERROR(registered.get_future().get());
   DBPC_LOG(LogLevel::kInfo, "admin_listening",
-           {"host", server->options_.host}, {"port", server->port_},
-           {"mode", server->reactor_ != nullptr ? "reactor" : "thread"});
+           {"host", server->options_.host}, {"port", server->port_});
   return server;
 }
 
@@ -334,13 +314,13 @@ std::string AdminServer::BuildResponse(const HttpRequest& request) {
   return PlainResponse(404, "not found (try /metrics /healthz /readyz /varz)\n");
 }
 
-// --- Reactor mode (loop thread) ---
+// --- Loop thread ---
 
 Status AdminServer::RegisterOnLoop() {
   SetNonBlocking(listen_fd_);
   DBPC_ASSIGN_OR_RETURN(
       listen_token_,
-      reactor_->Add(listen_fd_, EPOLLIN, [this](uint32_t) { OnAccept(); }));
+      reactor_.Add(listen_fd_, EPOLLIN, [this](uint32_t) { OnAccept(); }));
   return Status::OK();
 }
 
@@ -352,7 +332,7 @@ void AdminServer::OnAccept() {
     auto conn = std::make_unique<ReactorConn>(options_.max_request_bytes);
     conn->fd = fd;
     Result<uint64_t> token =
-        reactor_->Add(fd, EPOLLIN, [this, fd](uint32_t events) {
+        reactor_.Add(fd, EPOLLIN, [this, fd](uint32_t events) {
           OnConnEvent(fd, events);
         });
     if (!token.ok()) {
@@ -362,7 +342,7 @@ void AdminServer::OnAccept() {
     conn->token = *token;
     // One deadline covers the whole exchange: a peer that neither finishes
     // its request nor drains the response is cut off.
-    conn->deadline = reactor_->ScheduleAt(
+    conn->deadline = reactor_.ScheduleAt(
         Reactor::Clock::now() +
             std::chrono::milliseconds(options_.io_timeout_ms),
         [this, fd] { CloseConn(fd); });
@@ -430,7 +410,7 @@ void AdminServer::ContinueWrite(ReactorConn* conn) {
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!reactor_->SetEvents(conn->fd, conn->token, EPOLLOUT).ok()) {
+      if (!reactor_.SetEvents(conn->fd, conn->token, EPOLLOUT).ok()) {
         CloseConn(conn->fd);
       }
       return;
@@ -447,16 +427,16 @@ void AdminServer::CloseConn(int fd) {
   if (it == conns_.end()) return;
   ReactorConn* conn = it->second.get();
   if (conn->deadline != Reactor::kInvalidTimer) {
-    reactor_->CancelTimer(conn->deadline);
+    reactor_.CancelTimer(conn->deadline);
   }
-  reactor_->Remove(fd, conn->token);
+  reactor_.Remove(fd, conn->token);
   ::close(fd);
   conns_.erase(it);
 }
 
 void AdminServer::TeardownOnLoop() {
   if (listen_token_ != 0) {
-    reactor_->Remove(listen_fd_, listen_token_);
+    reactor_.Remove(listen_fd_, listen_token_);
     listen_token_ = 0;
   }
   if (listen_fd_ >= 0) {
@@ -469,119 +449,21 @@ void AdminServer::TeardownOnLoop() {
   for (int fd : fds) CloseConn(fd);
 }
 
-// --- Thread mode ---
-
-void AdminServer::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    struct pollfd pfd;
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    int rc = ::poll(&pfd, 1, 100);
-    if (rc <= 0) continue;  // tick: re-check stopping_
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    {
-      // Registered before the thread exists so Stop() cannot miss it.
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      open_fds_.insert(fd);
-      ++active_conns_;
-    }
-    std::thread([this, fd] { ServeConnection(fd); }).detach();
-  }
-}
-
-void AdminServer::ServeConnection(int fd) {
-  SteadyClock::time_point deadline =
-      SteadyClock::now() + std::chrono::milliseconds(options_.io_timeout_ms);
-  HttpRequestParser parser(options_.max_request_bytes);
-  std::string out;
-  char buf[2048];
-  while (parser.state() == HttpRequestParser::State::kNeedMore) {
-    int remaining = RemainingMs(deadline);
-    if (remaining == 0) break;
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    int rc = ::poll(&pfd, 1, remaining);
-    if (rc <= 0) {
-      if (rc < 0 && errno == EINTR) continue;
-      break;  // timeout or poll failure
-    }
-    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      parser.Consume(std::string_view(buf, static_cast<size_t>(n)));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    break;  // EOF or read error before a complete head
-  }
-  if (parser.state() == HttpRequestParser::State::kDone) {
-    out = BuildResponse(parser.request());
-  } else if (parser.state() == HttpRequestParser::State::kError) {
-    out = PlainResponse(400, parser.error() + "\n");
-  }
-  size_t sent = 0;
-  while (sent < out.size()) {
-    int remaining = RemainingMs(deadline);
-    if (remaining == 0) break;
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = POLLOUT;
-    pfd.revents = 0;
-    int rc = ::poll(&pfd, 1, remaining);
-    if (rc <= 0) {
-      if (rc < 0 && errno == EINTR) continue;
-      break;
-    }
-    ssize_t n =
-        ::send(fd, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
-    break;
-  }
-  ::close(fd);
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    open_fds_.erase(fd);
-    --active_conns_;
-    // Notify while still holding the lock: Stop()'s waiter may destroy this
-    // object the moment it observes active_conns_ == 0, so this thread's
-    // last touch of *this must be the unlock that releases that waiter.
-    conns_cv_.notify_all();
-  }
-}
-
 void AdminServer::Stop() {
   bool expected = false;
   if (!stopping_.compare_exchange_strong(expected, true)) return;
-  if (reactor_ != nullptr) {
-    std::promise<void> done;
-    reactor_->Post([this, &done] {
-      TeardownOnLoop();
-      done.set_value();
-    });
-    // The daemon stops the admin plane before its reactors, so the posted
-    // teardown runs; the timed fallback only covers a mis-ordered caller
-    // (loop already gone — its thread is dead, so direct closes are safe).
-    if (done.get_future().wait_for(std::chrono::seconds(5)) ==
-        std::future_status::timeout) {
-      TeardownOnLoop();
-    }
-    return;
+  std::promise<void> done;
+  reactor_.Post([this, &done] {
+    TeardownOnLoop();
+    done.set_value();
+  });
+  // The daemon stops the admin plane before its reactors, so the posted
+  // teardown runs; the timed fallback only covers a mis-ordered caller
+  // (loop already gone — its thread is dead, so direct closes are safe).
+  if (done.get_future().wait_for(std::chrono::seconds(5)) ==
+      std::future_status::timeout) {
+    TeardownOnLoop();
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  std::unique_lock<std::mutex> lock(conns_mu_);
-  for (int fd : open_fds_) ::shutdown(fd, SHUT_RDWR);
-  conns_cv_.wait(lock, [this] { return active_conns_ == 0; });
 }
 
 // --- HttpGet ---

@@ -1,7 +1,5 @@
 #include "daemon/reactor.h"
 
-#if defined(__linux__)
-
 #include <errno.h>
 #include <string.h>
 #include <sys/epoll.h>
@@ -191,30 +189,3 @@ void Reactor::Run() {
 }
 
 }  // namespace dbpc
-
-#else  // !defined(__linux__)
-
-namespace dbpc {
-
-Result<std::unique_ptr<Reactor>> Reactor::Create(std::string) {
-  return Status::Unsupported("epoll reactor requires Linux");
-}
-Reactor::~Reactor() = default;
-void Reactor::Stop() {}
-void Reactor::Post(std::function<void()>) {}
-Result<uint64_t> Reactor::Add(int, uint32_t, IoHandler) {
-  return Status::Unsupported("epoll reactor requires Linux");
-}
-Status Reactor::SetEvents(int, uint64_t, uint32_t) {
-  return Status::Unsupported("epoll reactor requires Linux");
-}
-void Reactor::Remove(int, uint64_t) {}
-Reactor::TimerId Reactor::ScheduleAt(Clock::time_point,
-                                     std::function<void()>) {
-  return kInvalidTimer;
-}
-void Reactor::CancelTimer(TimerId) {}
-
-}  // namespace dbpc
-
-#endif  // defined(__linux__)

@@ -157,19 +157,25 @@ TEST(PrometheusTest, HistogramBucketsAreCumulativeAndInfEqualsCount) {
 
 // --- AdminServer routing + a standalone end-to-end scrape ---
 
-/// A standalone admin server over a bare registry (no daemon): routing and
-/// transport can be exercised without conversion machinery.
+/// A standalone admin server over a bare registry and its own reactor (no
+/// daemon): routing and transport can be exercised without conversion
+/// machinery. Members are destroyed in reverse order, so the server stops
+/// before its reactor.
 struct StandaloneAdmin {
   MetricsRegistry registry;
   std::atomic<bool> ready{true};
+  std::unique_ptr<Reactor> reactor;
   std::unique_ptr<AdminServer> server;
 
   StandaloneAdmin() {
+    Result<std::unique_ptr<Reactor>> loop = Reactor::Create("admin-test");
+    EXPECT_TRUE(loop.ok()) << loop.status();
+    reactor = std::move(loop).value();
     AdminHooks hooks;
     hooks.metrics = &registry;
     hooks.ready = [this] { return ready.load(); };
     Result<std::unique_ptr<AdminServer>> started =
-        AdminServer::Start(AdminOptions{}, hooks, /*reactor=*/nullptr);
+        AdminServer::Start(AdminOptions{}, hooks, *reactor);
     EXPECT_TRUE(started.ok()) << started.status();
     server = std::move(started).value();
   }
@@ -237,12 +243,12 @@ TEST(AdminServerTest, ServesHttpOverARealSocket) {
   ASSERT_TRUE(missing.ok()) << missing.status();
   EXPECT_EQ(missing->status_code, 404);
 
-  // Stop is idempotent and leaves no serving threads behind.
+  // Stop is idempotent and closes the listener on the loop thread.
   admin.server->Stop();
   admin.server->Stop();
 }
 
-// --- Daemon-integrated admin plane, both io-models ---
+// --- Daemon-integrated admin plane ---
 
 const char* kSeniorsCpl = R"(PROGRAM SENIORS.
   FOR EACH E IN FIND(EMP: SYSTEM, ALL-DIV, DIV, DIV-EMP, EMP(AGE > 30)) DO
@@ -262,11 +268,10 @@ END PLAN.
       .value();
 }
 
-DaemonOptions TestOptions(DaemonIoModel io_model) {
+DaemonOptions TestOptions() {
   DaemonOptions options;
   options.port = 0;
   options.admin_port = 0;  // ephemeral admin endpoint on every fixture
-  options.io_model = io_model;
   options.read_timeout_ms = 2000;
   options.write_timeout_ms = 2000;
   options.result_wait_ms = 5000;
@@ -300,10 +305,8 @@ struct Fixture {
   }
 };
 
-class DaemonAdminTest : public ::testing::TestWithParam<DaemonIoModel> {};
-
-TEST_P(DaemonAdminTest, MetricsExposesTheOperationalFamilies) {
-  Fixture fixture(TestOptions(GetParam()));
+TEST(DaemonAdminTest, MetricsExposesTheOperationalFamilies) {
+  Fixture fixture(TestOptions());
   ASSERT_GT(fixture.daemon->admin_port(), 0);
   std::unique_ptr<DaemonClient> client = fixture.Connect();
   ConversionRequest request;
@@ -332,23 +335,22 @@ TEST_P(DaemonAdminTest, MetricsExposesTheOperationalFamilies) {
       << body;
 }
 
-TEST_P(DaemonAdminTest, VarzServesAJsonSnapshot) {
-  Fixture fixture(TestOptions(GetParam()));
+TEST(DaemonAdminTest, VarzServesAJsonSnapshot) {
+  Fixture fixture(TestOptions());
   Result<HttpResponse> varz = fixture.Scrape("/varz");
   ASSERT_TRUE(varz.ok()) << varz.status();
   ASSERT_EQ(varz->status_code, 200);
   EXPECT_EQ(varz->body.front(), '{') << varz->body;
-  for (const char* key : {"\"server\":\"dbpcd\"", "\"io_model\"",
-                          "\"uptime_s\"", "\"draining\":false", "\"build\"",
-                          "\"metrics\""}) {
+  for (const char* key : {"\"server\":\"dbpcd\"", "\"uptime_s\"",
+                          "\"draining\":false", "\"build\"", "\"metrics\""}) {
     EXPECT_NE(varz->body.find(key), std::string::npos)
         << "missing " << key << " in:\n"
         << varz->body;
   }
 }
 
-TEST_P(DaemonAdminTest, ReadyzFlipsTo503WhileADrainIsInFlight) {
-  DaemonOptions options = TestOptions(GetParam());
+TEST(DaemonAdminTest, ReadyzFlipsTo503WhileADrainIsInFlight) {
+  DaemonOptions options = TestOptions();
   options.service.jobs = 1;
   // The only worker blocks until released, so the DRAIN provably overlaps
   // the /readyz probes below.
@@ -408,7 +410,7 @@ TEST_P(DaemonAdminTest, ReadyzFlipsTo503WhileADrainIsInFlight) {
   EXPECT_EQ(health->status_code, 200);
 }
 
-TEST_P(DaemonAdminTest, SlowRequestLogCarriesTheTimingBreakdown) {
+TEST(DaemonAdminTest, SlowRequestLogCarriesTheTimingBreakdown) {
   std::mutex mu;
   std::vector<std::string> lines;
   Logger::Options capture;
@@ -420,7 +422,7 @@ TEST_P(DaemonAdminTest, SlowRequestLogCarriesTheTimingBreakdown) {
   GlobalLogger().Configure(capture);
 
   {
-    DaemonOptions options = TestOptions(GetParam());
+    DaemonOptions options = TestOptions();
     options.slow_request_ms = 1;
     options.service.pipeline_override =
         [](const Program& program) -> Result<PipelineOutcome> {
@@ -456,23 +458,6 @@ TEST_P(DaemonAdminTest, SlowRequestLogCarriesTheTimingBreakdown) {
         << "missing " << field << " in: " << slow;
   }
 }
-
-#if defined(__linux__)
-INSTANTIATE_TEST_SUITE_P(IoModels, DaemonAdminTest,
-                         ::testing::Values(DaemonIoModel::kThreads,
-                                           DaemonIoModel::kEpoll),
-                         [](const ::testing::TestParamInfo<DaemonIoModel>&
-                                info) {
-                           return std::string(DaemonIoModelName(info.param));
-                         });
-#else
-INSTANTIATE_TEST_SUITE_P(IoModels, DaemonAdminTest,
-                         ::testing::Values(DaemonIoModel::kThreads),
-                         [](const ::testing::TestParamInfo<DaemonIoModel>&
-                                info) {
-                           return std::string(DaemonIoModelName(info.param));
-                         });
-#endif
 
 }  // namespace
 }  // namespace dbpc

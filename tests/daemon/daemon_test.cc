@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -34,10 +35,9 @@ END PLAN.
       .value();
 }
 
-DaemonOptions TestOptions(DaemonIoModel io_model) {
+DaemonOptions TestOptions() {
   DaemonOptions options;
   options.port = 0;
-  options.io_model = io_model;
   options.read_timeout_ms = 2000;
   options.write_timeout_ms = 2000;
   options.result_wait_ms = 5000;
@@ -69,13 +69,8 @@ struct Fixture {
   }
 };
 
-/// Every behavioral test runs under both io-models: one thread per
-/// connection ("threads") and the epoll reactor ("epoll"). The daemon's
-/// protocol contract must be indistinguishable between them.
-class DaemonTest : public ::testing::TestWithParam<DaemonIoModel> {};
-
-TEST_P(DaemonTest, GreetingAdvertisesServerAndProtocol) {
-  Fixture fixture(TestOptions(GetParam()));
+TEST(DaemonTest, GreetingAdvertisesServerAndProtocol) {
+  Fixture fixture(TestOptions());
   std::unique_ptr<DaemonClient> client = fixture.Connect();
   EXPECT_EQ(client->greeting().at("server"), "dbpcd");
   EXPECT_EQ(client->greeting().at("proto"),
@@ -83,8 +78,8 @@ TEST_P(DaemonTest, GreetingAdvertisesServerAndProtocol) {
   EXPECT_TRUE(client->Ping().ok());
 }
 
-TEST_P(DaemonTest, SubmitStatusResultRoundTrip) {
-  Fixture fixture(TestOptions(GetParam()));
+TEST(DaemonTest, SubmitStatusResultRoundTrip) {
+  Fixture fixture(TestOptions());
   std::unique_ptr<DaemonClient> client = fixture.Connect();
 
   ConversionRequest request;
@@ -113,8 +108,8 @@ TEST_P(DaemonTest, SubmitStatusResultRoundTrip) {
   EXPECT_EQ(again->converted_source, response->converted_source);
 }
 
-TEST_P(DaemonTest, ParseFailureIsAFailedJobNotASessionError) {
-  Fixture fixture(TestOptions(GetParam()));
+TEST(DaemonTest, ParseFailureIsAFailedJobNotASessionError) {
+  Fixture fixture(TestOptions());
   std::unique_ptr<DaemonClient> client = fixture.Connect();
 
   ConversionRequest request;
@@ -128,8 +123,8 @@ TEST_P(DaemonTest, ParseFailureIsAFailedJobNotASessionError) {
   EXPECT_TRUE(client->Ping().ok());
 }
 
-TEST_P(DaemonTest, MalformedCommandsKeepTheSessionAlive) {
-  Fixture fixture(TestOptions(GetParam()));
+TEST(DaemonTest, MalformedCommandsKeepTheSessionAlive) {
+  Fixture fixture(TestOptions());
   std::unique_ptr<DaemonClient> client = fixture.Connect();
 
   for (const char* bad :
@@ -143,8 +138,8 @@ TEST_P(DaemonTest, MalformedCommandsKeepTheSessionAlive) {
   EXPECT_TRUE(client->Ping().ok());
 }
 
-TEST_P(DaemonTest, OversizedLineTearsDownTheSessionStructurally) {
-  Fixture fixture(TestOptions(GetParam()));
+TEST(DaemonTest, OversizedLineTearsDownTheSessionStructurally) {
+  Fixture fixture(TestOptions());
   std::unique_ptr<DaemonClient> client = fixture.Connect();
   // No newline within the daemon's max_line_bytes: the session must reply
   // -ERR and close, not hang or crash.
@@ -159,8 +154,8 @@ TEST_P(DaemonTest, OversizedLineTearsDownTheSessionStructurally) {
   EXPECT_TRUE(fixture.Connect()->Ping().ok());
 }
 
-TEST_P(DaemonTest, OversizedPayloadIsRefusedBeforeReading) {
-  DaemonOptions options = TestOptions(GetParam());
+TEST(DaemonTest, OversizedPayloadIsRefusedBeforeReading) {
+  DaemonOptions options = TestOptions();
   options.max_payload_bytes = 128;
   Fixture fixture(std::move(options));
   std::unique_ptr<DaemonClient> client = fixture.Connect();
@@ -170,8 +165,8 @@ TEST_P(DaemonTest, OversizedPayloadIsRefusedBeforeReading) {
   EXPECT_EQ(reply->rfind("-ERR bad-request", 0), 0u) << *reply;
 }
 
-TEST_P(DaemonTest, MidRequestDisconnectAdmitsNothing) {
-  Fixture fixture(TestOptions(GetParam()));
+TEST(DaemonTest, MidRequestDisconnectAdmitsNothing) {
+  Fixture fixture(TestOptions());
   {
     std::unique_ptr<DaemonClient> client = fixture.Connect();
     // Promise 1000 payload bytes, deliver 10, vanish.
@@ -186,16 +181,16 @@ TEST_P(DaemonTest, MidRequestDisconnectAdmitsNothing) {
   EXPECT_TRUE(fixture.Connect()->Ping().ok());
 }
 
-TEST_P(DaemonTest, ResultForUnknownJobIsNotFound) {
-  Fixture fixture(TestOptions(GetParam()));
+TEST(DaemonTest, ResultForUnknownJobIsNotFound) {
+  Fixture fixture(TestOptions());
   std::unique_ptr<DaemonClient> client = fixture.Connect();
   Result<ConversionResponse> response = client->Fetch(777, /*wait=*/false);
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kNotFound);
 }
 
-TEST_P(DaemonTest, BackpressureWhenQueueIsFull) {
-  DaemonOptions options = TestOptions(GetParam());
+TEST(DaemonTest, BackpressureWhenQueueIsFull) {
+  DaemonOptions options = TestOptions();
   options.queue_depth = 1;
   options.service.jobs = 1;
   // A pipeline that blocks until released, so the queue stays provably
@@ -234,8 +229,8 @@ TEST_P(DaemonTest, BackpressureWhenQueueIsFull) {
   EXPECT_TRUE(client->Submit(request).ok());
 }
 
-TEST_P(DaemonTest, PerRequestDeadlineDegradesToRefused) {
-  DaemonOptions options = TestOptions(GetParam());
+TEST(DaemonTest, PerRequestDeadlineDegradesToRefused) {
+  DaemonOptions options = TestOptions();
   options.service.retries = 0;
   // Every attempt takes ~40ms; a 1ms per-request deadline is always
   // overrun, so the job must degrade to a refused-but-answered conversion
@@ -266,8 +261,8 @@ TEST_P(DaemonTest, PerRequestDeadlineDegradesToRefused) {
   EXPECT_TRUE(response->accepted);
 }
 
-TEST_P(DaemonTest, TraceIsServedOnlyForTracedJobs) {
-  Fixture fixture(TestOptions(GetParam()));
+TEST(DaemonTest, TraceIsServedOnlyForTracedJobs) {
+  Fixture fixture(TestOptions());
   std::unique_ptr<DaemonClient> client = fixture.Connect();
 
   ConversionRequest untraced;
@@ -288,8 +283,8 @@ TEST_P(DaemonTest, TraceIsServedOnlyForTracedJobs) {
   EXPECT_NE(trace->find("convert SENIORS"), std::string::npos) << *trace;
 }
 
-TEST_P(DaemonTest, TraceOnAnUnfinishedJobIsAnsweredNotRaced) {
-  DaemonOptions options = TestOptions(GetParam());
+TEST(DaemonTest, TraceOnAnUnfinishedJobIsAnsweredNotRaced) {
+  DaemonOptions options = TestOptions();
   options.service.jobs = 1;
   // The only worker blocks until released, so the job is provably
   // unfinished while TRACE probes it. Before the fix the TRACE handler
@@ -342,7 +337,7 @@ TEST_P(DaemonTest, TraceOnAnUnfinishedJobIsAnsweredNotRaced) {
   EXPECT_TRUE(prober->Ping().ok());
 }
 
-TEST_P(DaemonTest, StartFailureIsACleanErrorNotACrash) {
+TEST(DaemonTest, StartFailureIsACleanErrorNotACrash) {
   // This plan parses but cannot apply to the company schema (no such
   // set), so ConversionService::Create fails after DaemonOptions already
   // validated. Start must return that error; destroying the partially
@@ -357,25 +352,43 @@ END PLAN.
                               .value();
   Schema schema = testing::MakeDatabase(testing::CompanyDdl()).schema();
   Result<std::unique_ptr<ConversionDaemon>> started =
-      ConversionDaemon::Start(schema, bad.View(), TestOptions(GetParam()));
+      ConversionDaemon::Start(schema, bad.View(), TestOptions());
   ASSERT_FALSE(started.ok());
   EXPECT_FALSE(started.status().message().empty());
 }
 
-TEST_P(DaemonTest, MetricsSnapshotIsServed) {
-  Fixture fixture(TestOptions(GetParam()));
+/// The integer after `"name": ` in a METRICS JSON snapshot; -1 if absent.
+long long MetricValue(const std::string& json, const std::string& name) {
+  std::string key = "\"" + name + "\": ";
+  size_t at = json.find(key);
+  if (at == std::string::npos) return -1;
+  return std::strtoll(json.c_str() + at + key.size(), nullptr, 10);
+}
+
+TEST(DaemonTest, MetricsSnapshotIsServed) {
+  Fixture fixture(TestOptions());
   std::unique_ptr<DaemonClient> client = fixture.Connect();
   ConversionRequest request;
   request.source = kSeniorsCpl;
+  ASSERT_TRUE(client->Convert(request).ok());
   ASSERT_TRUE(client->Convert(request).ok());
   Result<std::string> metrics = client->Metrics();
   ASSERT_TRUE(metrics.ok()) << metrics.status();
   EXPECT_NE(metrics->find("daemon.submits_admitted"), std::string::npos);
   EXPECT_NE(metrics->find("daemon.request_us"), std::string::npos);
+  // The sampled cache.entries gauge is current in every snapshot: two
+  // identical SUBMITs leave one resident template.
+  long long misses = MetricValue(*metrics, "cache.misses");
+  long long evictions = MetricValue(*metrics, "cache.evictions");
+  ASSERT_GE(misses, 0) << *metrics;
+  ASSERT_GE(evictions, 0) << *metrics;
+  EXPECT_EQ(MetricValue(*metrics, "cache.entries"), misses - evictions)
+      << *metrics;
+  EXPECT_EQ(MetricValue(*metrics, "cache.entries"), 1) << *metrics;
 }
 
-TEST_P(DaemonTest, DrainFinishesAdmittedJobsAndRefusesNewOnes) {
-  Fixture fixture(TestOptions(GetParam()));
+TEST(DaemonTest, DrainFinishesAdmittedJobsAndRefusesNewOnes) {
+  Fixture fixture(TestOptions());
   std::unique_ptr<DaemonClient> client = fixture.Connect();
 
   ConversionRequest request;
@@ -400,8 +413,8 @@ TEST_P(DaemonTest, DrainFinishesAdmittedJobsAndRefusesNewOnes) {
   EXPECT_EQ(late.status().code(), StatusCode::kUnavailable);
 }
 
-TEST_P(DaemonTest, DoubleDrainIsIdempotent) {
-  Fixture fixture(TestOptions(GetParam()));
+TEST(DaemonTest, DoubleDrainIsIdempotent) {
+  Fixture fixture(TestOptions());
   std::unique_ptr<DaemonClient> client = fixture.Connect();
   ConversionRequest request;
   request.source = kSeniorsCpl;
@@ -416,8 +429,8 @@ TEST_P(DaemonTest, DoubleDrainIsIdempotent) {
             fixture.daemon->jobs_completed());
 }
 
-TEST_P(DaemonTest, StopTearsDownIdleSessions) {
-  Fixture fixture(TestOptions(GetParam()));
+TEST(DaemonTest, StopTearsDownIdleSessions) {
+  Fixture fixture(TestOptions());
   std::unique_ptr<DaemonClient> client = fixture.Connect();
   ASSERT_TRUE(client->Ping().ok());
   // Stop must not wait out the idle session's read timeout.
@@ -430,8 +443,8 @@ TEST_P(DaemonTest, StopTearsDownIdleSessions) {
   EXPECT_EQ(fixture.daemon->active_sessions(), 0);
 }
 
-TEST_P(DaemonTest, ConcurrentSessionsAllComplete) {
-  Fixture fixture(TestOptions(GetParam()));
+TEST(DaemonTest, ConcurrentSessionsAllComplete) {
+  Fixture fixture(TestOptions());
   constexpr int kSessions = 8;
   constexpr int kPerSession = 4;
   std::atomic<int> completed{0};
@@ -453,23 +466,6 @@ TEST_P(DaemonTest, ConcurrentSessionsAllComplete) {
   EXPECT_EQ(fixture.daemon->jobs_completed(),
             static_cast<uint64_t>(kSessions * kPerSession));
 }
-
-#if defined(__linux__)
-INSTANTIATE_TEST_SUITE_P(IoModels, DaemonTest,
-                         ::testing::Values(DaemonIoModel::kThreads,
-                                           DaemonIoModel::kEpoll),
-                         [](const ::testing::TestParamInfo<DaemonIoModel>&
-                                info) {
-                           return std::string(DaemonIoModelName(info.param));
-                         });
-#else
-INSTANTIATE_TEST_SUITE_P(IoModels, DaemonTest,
-                         ::testing::Values(DaemonIoModel::kThreads),
-                         [](const ::testing::TestParamInfo<DaemonIoModel>&
-                                info) {
-                           return std::string(DaemonIoModelName(info.param));
-                         });
-#endif
 
 }  // namespace
 }  // namespace dbpc

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#if defined(__linux__)
-
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <string.h>
@@ -16,9 +14,11 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <regex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -184,9 +184,9 @@ TEST(ReactorTest, IoDispatchParkAndRemove) {
 }
 
 // ---------------------------------------------------------------------------
-// Epoll session state machine: interleavings a thread-per-connection loop
-// never sees (partial reads re-entered from separate wakeups, deadlines
-// firing mid-state, parked sessions woken by worker completions).
+// Epoll session state machine: interleavings a blocking session loop never
+// sees (partial reads re-entered from separate wakeups, deadlines firing
+// mid-state, parked sessions woken by worker completions).
 // ---------------------------------------------------------------------------
 
 const char* kSeniorsCpl = R"(PROGRAM SENIORS.
@@ -210,7 +210,6 @@ END PLAN.
 DaemonOptions EpollOptions() {
   DaemonOptions options;
   options.port = 0;
-  options.io_model = DaemonIoModel::kEpoll;
   options.read_timeout_ms = 2000;
   options.write_timeout_ms = 2000;
   options.result_wait_ms = 5000;
@@ -301,7 +300,7 @@ TEST(EpollSessionTest, IdleDeadlineFiresMidCommandLine) {
   ASSERT_TRUE(sock->ReadLine().ok());  // greeting
 
   // Half a command, then silence: the timer-heap deadline must fire and
-  // close the session with the same -ERR the threads model sends.
+  // close the session with a structured -ERR.
   ASSERT_TRUE(sock->WriteAll("PIN").ok());
   Result<std::string> reply = sock->ReadLine();
   ASSERT_TRUE(reply.ok()) << reply.status();
@@ -391,16 +390,14 @@ TEST(EpollSessionTest, DrainWakesParkedResultWaitSessions) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: the two io-models must be byte-identical on the wire.
+// Golden transcript: the proto=1 wire contract, pinned byte for byte.
 // ---------------------------------------------------------------------------
 
-/// Runs a fixed pipelined script against a fresh daemon under `io_model`
-/// and returns every byte the server sent, as newline-joined lines, with
-/// the one legitimately nondeterministic token (latency_us) normalized.
-std::string Transcript(DaemonIoModel io_model) {
-  DaemonOptions options = EpollOptions();
-  options.io_model = io_model;
-  Fixture fixture(std::move(options));
+/// Runs a fixed pipelined script against a fresh daemon and returns every
+/// byte the server sent, as newline-joined lines, with the one legitimately
+/// nondeterministic token (latency_us) normalized.
+std::string Transcript() {
+  Fixture fixture(EpollOptions());
   std::unique_ptr<SockBuffer> sock = RawConnect(fixture.daemon->port());
 
   std::string payload = kSeniorsCpl;
@@ -428,16 +425,28 @@ std::string Transcript(DaemonIoModel io_model) {
                             "latency_us=N");
 }
 
-TEST(EpollSessionTest, DifferentialTranscriptMatchesThreadsModel) {
-  std::string threads = Transcript(DaemonIoModel::kThreads);
-  std::string epoll = Transcript(DaemonIoModel::kEpoll);
+TEST(EpollSessionTest, TranscriptMatchesGolden) {
+  // The golden file was recorded when a second, thread-per-connection
+  // implementation of the protocol still existed, and both produced these
+  // exact bytes. Any change to it is a change of the wire contract and
+  // belongs in DAEMON.md too.
+  const std::string path =
+      std::string(DBPC_TESTDATA_DIR) + "/proto1_transcript.txt";
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in) << "cannot open " << path;
+  std::stringstream golden;
+  golden << in.rdbuf();
+  std::string live = Transcript();
   // Sanity: the script actually exercised the interesting replies.
-  EXPECT_NE(threads.find("+OK pong"), std::string::npos);
-  EXPECT_NE(threads.find("-ERR bad-request"), std::string::npos);
-  EXPECT_NE(threads.find("+OK id=1"), std::string::npos);
-  EXPECT_NE(threads.find("== SOURCE =="), std::string::npos);
-  EXPECT_NE(threads.find("drained=1"), std::string::npos);
-  EXPECT_EQ(threads, epoll);
+  EXPECT_NE(live.find("+OK pong"), std::string::npos);
+  EXPECT_NE(live.find("-ERR bad-request"), std::string::npos);
+  EXPECT_NE(live.find("+OK id=1"), std::string::npos);
+  EXPECT_NE(live.find("== SOURCE =="), std::string::npos);
+  EXPECT_NE(live.find("drained=1"), std::string::npos);
+  EXPECT_EQ(live, golden.str()) << "--- live ---\n"
+                                << live << "--- golden (" << path
+                                << ") ---\n"
+                                << golden.str();
 }
 
 // ---------------------------------------------------------------------------
@@ -508,18 +517,3 @@ TEST(EpollSessionTest, ThousandConcurrentSessionsAllComplete) {
 
 }  // namespace
 }  // namespace dbpc
-
-#else  // !defined(__linux__)
-
-namespace dbpc {
-namespace {
-
-TEST(ReactorTest, CreateIsUnsupportedOffLinux) {
-  Result<std::unique_ptr<Reactor>> reactor = Reactor::Create("reactor-test");
-  EXPECT_FALSE(reactor.ok());
-}
-
-}  // namespace
-}  // namespace dbpc
-
-#endif

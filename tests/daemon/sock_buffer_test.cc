@@ -159,26 +159,6 @@ TEST(SockBufferTest, MidPayloadDisconnectIsUnavailable) {
   EXPECT_EQ(payload.status().code(), StatusCode::kUnavailable);
 }
 
-TEST(SockBufferTest, ShutdownUnblocksAReadFromAnotherThread) {
-  Pair pair(SockBuffer::Limits{/*read_timeout_ms=*/30000,
-                               /*write_timeout_ms=*/30000,
-                               /*max_line_bytes=*/64});
-  std::thread unblocker([&pair] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    pair.reader->Shutdown();
-  });
-  auto start = std::chrono::steady_clock::now();
-  Result<std::string> line = pair.reader->ReadLine();
-  auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
-  unblocker.join();
-  ASSERT_FALSE(line.ok());
-  EXPECT_EQ(line.status().code(), StatusCode::kUnavailable);
-  EXPECT_LT(elapsed, 5000);  // did not wait out the 30s timeout
-  EXPECT_TRUE(pair.reader->shutdown_requested());
-}
-
 TEST(SockBufferTest, WriteAllDeliversEverything) {
   Pair pair(FastLimits());
   std::string blob(256 * 1024, 'y');

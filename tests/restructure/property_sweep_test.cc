@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "bridge/bridge.h"
 #include "corpus/corpus.h"
 #include "emulate/emulator.h"
@@ -104,6 +106,23 @@ TEST_P(InverseTranslationTest, ForwardThenBackwardIsIdentity) {
 INSTANTIATE_TEST_SUITE_P(Plans, InverseTranslationTest,
                          ::testing::ValuesIn(kInvertiblePlans));
 
+/// The classification each corpus shape is pinned to under the FIG44 plan,
+/// so that a program slipping from automatic to analyst review fails the
+/// sweep instead of silently leaving it.
+Convertibility PinnedFig44Classification(CorpusShape shape) {
+  switch (shape) {
+    case CorpusShape::kNestedNavigational:  // inner loop follows DIV-EMP order
+    case CorpusShape::kAmbiguousOwner:
+    case CorpusShape::kStatusDependent:
+    case CorpusShape::kEraseInScan:
+      return Convertibility::kNeedsAnalyst;
+    case CorpusShape::kRuntimeVariable:
+      return Convertibility::kNotConvertible;
+    default:
+      return Convertibility::kAutomatic;
+  }
+}
+
 class StrategyAgreementTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(StrategyAgreementTest, AllStrategiesMatchSourceTrace) {
@@ -116,9 +135,16 @@ TEST_P(StrategyAgreementTest, AllStrategiesMatchSourceTrace) {
   ConversionSupervisor supervisor = *ConversionSupervisor::Create(
       source.schema(), plan.View(), SupervisorOptions{});
   PipelineOutcome outcome = *supervisor.ConvertProgram(entry.program);
+  ASSERT_EQ(ConvertibilityName(outcome.classification),
+            std::string(ConvertibilityName(PinnedFig44Classification(
+                entry.shape))))
+      << CorpusShapeName(entry.shape) << "\n" << entry.program.ToSource();
   if (outcome.classification != Convertibility::kAutomatic) {
-    GTEST_SKIP() << ConvertibilityName(outcome.classification);
+    // With no analyst configured, nothing short of automatic is converted.
+    EXPECT_FALSE(outcome.accepted);
+    return;
   }
+  ASSERT_TRUE(outcome.accepted);
   Database target = *supervisor.TranslateDatabase(source);
 
   IoScript script;

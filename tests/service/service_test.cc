@@ -38,6 +38,20 @@ std::vector<Program> CompanyPrograms(int n = 0) {
   return programs;
 }
 
+/// Wraps each parsed program in a ConversionRequest with service-default
+/// options, as ConvertSystem takes them.
+std::vector<ConversionRequest> ToRequests(
+    const std::vector<Program>& programs) {
+  std::vector<ConversionRequest> requests;
+  requests.reserve(programs.size());
+  for (const Program& program : programs) {
+    ConversionRequest request;
+    request.program = program;
+    requests.push_back(std::move(request));
+  }
+  return requests;
+}
+
 std::unique_ptr<ConversionService> MakeService(const RestructuringPlan& plan,
                                                ServiceOptions options) {
   Schema schema = testing::MakeDatabase(testing::CompanyDdl()).schema();
@@ -125,13 +139,13 @@ TEST(ConversionServiceTest, ParallelReportIsByteIdenticalToSerial) {
   std::unique_ptr<ConversionService> serial =
       MakeService(plan, AssistedOptions(1));
   SystemConversionReport serial_report =
-      std::move(serial->ConvertSystem(programs)).value();
+      std::move(serial->ConvertSystem(ToRequests(programs))).value();
 
   for (int jobs : {2, 4, 8}) {
     std::unique_ptr<ConversionService> parallel =
         MakeService(plan, AssistedOptions(jobs));
     SystemConversionReport report =
-        std::move(parallel->ConvertSystem(programs)).value();
+        std::move(parallel->ConvertSystem(ToRequests(programs))).value();
     EXPECT_EQ(report.ToText(), serial_report.ToText()) << "jobs=" << jobs;
     EXPECT_EQ(report.accepted, serial_report.accepted);
     EXPECT_EQ(report.refused, serial_report.refused);
@@ -161,7 +175,7 @@ TEST(ConversionServiceTest, OutputOrderMatchesInputOrderUnderJitter) {
   };
   std::unique_ptr<ConversionService> service = MakeService(plan, options);
   SystemConversionReport report =
-      std::move(service->ConvertSystem(programs)).value();
+      std::move(service->ConvertSystem(ToRequests(programs))).value();
   ASSERT_EQ(report.outcomes.size(), programs.size());
   for (int i = 0; i < kPrograms; ++i) {
     EXPECT_EQ(report.outcomes[i].conversion.converted.name, programs[i].name);
@@ -175,9 +189,9 @@ TEST(ConversionServiceTest, ServiceIsReusableAcrossBatches) {
   std::unique_ptr<ConversionService> service =
       MakeService(plan, AssistedOptions(4));
   std::string first =
-      std::move(service->ConvertSystem(programs)).value().ToText();
+      std::move(service->ConvertSystem(ToRequests(programs))).value().ToText();
   std::string second =
-      std::move(service->ConvertSystem(programs)).value().ToText();
+      std::move(service->ConvertSystem(ToRequests(programs))).value().ToText();
   EXPECT_EQ(first, second);
   EXPECT_EQ(service->metrics().GetCounter("service.batches")->Value(), 2u);
 }
@@ -206,7 +220,7 @@ TEST(ConversionServiceTest, DeadlineOverrunDegradesToRefusedAfterRetry) {
   };
   std::unique_ptr<ConversionService> service = MakeService(plan, options);
   SystemConversionReport report =
-      std::move(service->ConvertSystem(programs)).value();
+      std::move(service->ConvertSystem(ToRequests(programs))).value();
 
   ASSERT_EQ(report.outcomes.size(), 3u);
   const PipelineOutcome& slow = report.outcomes[1];
@@ -248,7 +262,7 @@ TEST(ConversionServiceTest, ThrowingPipelineDegradesToRefused) {
   };
   std::unique_ptr<ConversionService> service = MakeService(plan, options);
   SystemConversionReport report =
-      std::move(service->ConvertSystem(programs)).value();
+      std::move(service->ConvertSystem(ToRequests(programs))).value();
 
   EXPECT_EQ(report.outcomes[0].classification,
             Convertibility::kNotConvertible);
@@ -279,7 +293,8 @@ TEST(ConversionServiceTest, ErrorStatusDegradesInsteadOfAbortingBatch) {
     return outcome;
   };
   std::unique_ptr<ConversionService> service = MakeService(plan, options);
-  Result<SystemConversionReport> report = service->ConvertSystem(programs);
+  Result<SystemConversionReport> report =
+      service->ConvertSystem(ToRequests(programs));
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->refused, 1);
   EXPECT_EQ(report->accepted, 1);
@@ -306,7 +321,7 @@ TEST(ConversionServiceTest, RetrySucceedsAfterTransientFailure) {
   };
   std::unique_ptr<ConversionService> service = MakeService(plan, options);
   SystemConversionReport report =
-      std::move(service->ConvertSystem(programs)).value();
+      std::move(service->ConvertSystem(ToRequests(programs))).value();
   EXPECT_TRUE(report.outcomes[0].accepted);
   EXPECT_EQ(service->metrics().GetCounter("service.retries")->Value(), 1u);
   EXPECT_EQ(service->metrics().GetCounter("service.degraded")->Value(), 0u);
@@ -320,7 +335,7 @@ TEST(ConversionServiceTest, MetricsSnapshotCoversPipelineStages) {
   std::unique_ptr<ConversionService> service =
       MakeService(plan, AssistedOptions(4));
   SystemConversionReport report =
-      std::move(service->ConvertSystem(programs)).value();
+      std::move(service->ConvertSystem(ToRequests(programs))).value();
 
   MetricsRegistry& metrics = service->metrics();
   uint64_t classified =
@@ -370,14 +385,14 @@ TEST(ConversionServiceTest, SpanForestIsIdenticalAcrossWorkerCounts) {
   serial_options.supervisor.spans = &serial_spans;
   std::unique_ptr<ConversionService> serial =
       MakeService(plan, std::move(serial_options));
-  ASSERT_TRUE(serial->ConvertSystem(programs).ok());
+  ASSERT_TRUE(serial->ConvertSystem(ToRequests(programs)).ok());
 
   SpanCollector pooled_spans;
   ServiceOptions pooled_options = AssistedOptions(4);
   pooled_options.supervisor.spans = &pooled_spans;
   std::unique_ptr<ConversionService> pooled =
       MakeService(plan, std::move(pooled_options));
-  ASSERT_TRUE(pooled->ConvertSystem(programs).ok());
+  ASSERT_TRUE(pooled->ConvertSystem(ToRequests(programs)).ok());
 
   // Roots sort by sequence (= batch index), so the structural export is
   // byte-identical regardless of thread scheduling.
@@ -394,7 +409,7 @@ TEST(ConversionServiceTest, ServiceSpansCoverAllFiveStages) {
   std::unique_ptr<ConversionService> service =
       MakeService(plan, std::move(options));
   std::vector<Program> programs = CompanyPrograms();
-  SystemConversionReport report = *service->ConvertSystem(programs);
+  SystemConversionReport report = *service->ConvertSystem(ToRequests(programs));
   ASSERT_GT(report.accepted, 0);
   std::string tree = spans.ToText(/*with_timing=*/false);
   for (const char* stage :

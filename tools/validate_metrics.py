@@ -47,7 +47,7 @@ REQUIRED_FAMILIES = (
     "dbpc_daemon_request_us",
 )
 
-VARZ_KEYS = ("server", "io_model", "uptime_s", "draining", "metrics")
+VARZ_KEYS = ("server", "uptime_s", "draining", "metrics")
 
 SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
