@@ -15,12 +15,8 @@ RecordId OccurrenceOwner(const Database& db, const SetDef& set,
                          RecordId current) {
   if (set.system_owned()) return kSystemOwner;
   if (current == 0) return 0;
-  Result<std::string> type = db.TypeOf(current);
-  if (!type.ok()) return 0;
-  if (EqualsIgnoreCase(*type, set.owner)) return current;
-  if (EqualsIgnoreCase(*type, set.member)) {
-    return db.OwnerOf(set.name, current);
-  }
+  if (db.IsA(current, set.owner)) return current;
+  if (db.IsA(current, set.member)) return db.OwnerOf(set.name, current);
   return 0;
 }
 
@@ -163,8 +159,7 @@ Status CodasylMachine::FindNext(const std::string& record_type,
   const std::vector<RecordId>& members = db_->MembersRef(set_name, owner);
   size_t start = 0;
   if (current != 0) {
-    Result<std::string> cur_type = db_->TypeOf(current);
-    if (cur_type.ok() && EqualsIgnoreCase(*cur_type, set->member)) {
+    if (db_->IsA(current, set->member)) {
       auto it = std::find(members.begin(), members.end(), current);
       if (it != members.end()) {
         start = static_cast<size_t>(it - members.begin()) + 1;

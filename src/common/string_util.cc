@@ -6,10 +6,15 @@
 
 namespace dbpc {
 
+namespace {
+
+char AsciiUpper(char c) { return c >= 'a' && c <= 'z' ? c - ('a' - 'A') : c; }
+
+}  // namespace
+
 std::string ToUpper(std::string_view s) {
   std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return std::toupper(c); });
+  std::transform(out.begin(), out.end(), out.begin(), AsciiUpper);
   return out;
 }
 
@@ -60,12 +65,19 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
 bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
-    if (std::toupper(static_cast<unsigned char>(a[i])) !=
-        std::toupper(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
+    if (AsciiUpper(a[i]) != AsciiUpper(b[i])) return false;
   }
   return true;
+}
+
+size_t CaseInsensitiveHash::operator()(std::string_view s) const {
+  // FNV-1a over the upper-cased bytes.
+  size_t h = 14695981039346656037ull;
+  for (char c : s) {
+    h ^= static_cast<unsigned char>(AsciiUpper(c));
+    h *= 1099511628211ull;
+  }
+  return h;
 }
 
 bool IsIdentifier(std::string_view s) {

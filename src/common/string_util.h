@@ -30,6 +30,20 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// True when the two identifiers are equal ignoring ASCII case.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
+/// Hash and equality for unordered containers keyed by case-insensitive
+/// identifiers. Both are transparent, so a lookup by `std::string_view` or
+/// a differently-cased `std::string` allocates nothing.
+struct CaseInsensitiveHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view s) const;
+};
+struct CaseInsensitiveEqual {
+  using is_transparent = void;
+  bool operator()(std::string_view a, std::string_view b) const {
+    return EqualsIgnoreCase(a, b);
+  }
+};
+
 /// Valid identifier: [A-Za-z][A-Za-z0-9_-]* (hyphens are idiomatic in
 /// CODASYL names such as DIV-EMP).
 bool IsIdentifier(std::string_view s);

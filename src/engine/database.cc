@@ -8,6 +8,34 @@
 
 namespace dbpc {
 
+Database::Database(Schema schema) : schema_(std::move(schema)) {
+  // First match wins on case-insensitive duplicates, as in the schema's
+  // linear Find* lookups.
+  for (const RecordTypeDef& type : schema_.record_types()) {
+    auto [it, inserted] = resolved_fields_.try_emplace(ToUpper(type.name));
+    if (!inserted) continue;
+    for (const FieldDef& f : type.fields) {
+      ResolvedField r;
+      r.is_virtual = f.is_virtual;
+      if (f.is_virtual) {
+        r.via_set = ToUpper(f.via_set);
+        r.using_field = ToUpper(f.using_field);
+      } else {
+        r.key = ToUpper(f.name);
+      }
+      it->second.try_emplace(ToUpper(f.name), std::move(r));
+    }
+  }
+  for (const SetDef& set : schema_.sets()) {
+    auto [it, inserted] = resolved_sets_.try_emplace(ToUpper(set.name));
+    if (!inserted) continue;
+    it->second.name = it->first;
+    for (const std::string& key : set.keys) {
+      it->second.keys.push_back(ToUpper(key));
+    }
+  }
+}
+
 Result<Database> Database::Create(Schema schema) {
   DBPC_RETURN_IF_ERROR(schema.Validate());
   Database db(std::move(schema));
@@ -648,16 +676,17 @@ Result<RecordId> Database::StoreRecord(const StoreRequest& request) {
   return id;
 }
 
-int Database::CompareByKeys(const SetDef& set, RecordId a, RecordId b) const {
+int Database::CompareByKeys(const std::vector<std::string>& keys, RecordId a,
+                            RecordId b) const {
   const StoredRecord* ra = store_.Get(a);
   const StoredRecord* rb = store_.Get(b);
   stats_.records_read += 2;
-  for (const std::string& key : set.keys) {
-    std::string k = ToUpper(key);
-    auto ia = ra->fields.find(k);
-    auto ib = rb->fields.find(k);
-    Value va = ia == ra->fields.end() ? Value() : ia->second;
-    Value vb = ib == rb->fields.end() ? Value() : ib->second;
+  static const Value kNull;
+  for (const std::string& key : keys) {
+    auto ia = ra->fields.find(key);
+    auto ib = rb->fields.find(key);
+    const Value& va = ia == ra->fields.end() ? kNull : ia->second;
+    const Value& vb = ib == rb->fields.end() ? kNull : ib->second;
     int cmp = va.Compare(vb);
     if (cmp != 0) return cmp;
   }
@@ -666,13 +695,13 @@ int Database::CompareByKeys(const SetDef& set, RecordId a, RecordId b) const {
 
 Result<size_t> Database::SortedPosition(const SetDef& set, RecordId owner,
                                         RecordId member) const {
-  const std::vector<RecordId>& members =
-      store_.Members(ToUpper(set.name), owner);
+  const ResolvedSet& resolved = resolved_sets_.find(set.name)->second;
+  const std::vector<RecordId>& members = store_.Members(resolved.name, owner);
   if (set.ordering == SetOrdering::kChronological) return members.size();
   size_t pos = 0;
   for (RecordId existing : members) {
     ++stats_.members_scanned;
-    int cmp = CompareByKeys(set, existing, member);
+    int cmp = CompareByKeys(resolved.keys, existing, member);
     if (cmp == 0) {
       return Status::ConstraintViolation(
           "duplicate set key in occurrence of " + set.name);
@@ -952,22 +981,34 @@ Result<std::string> Database::TypeOf(RecordId id) const {
   return rec->type;
 }
 
+bool Database::IsA(RecordId id, std::string_view type) const {
+  const StoredRecord* rec = store_.Get(id);
+  return rec != nullptr && EqualsIgnoreCase(rec->type, type);
+}
+
+const Database::ResolvedField* Database::ResolveField(
+    const std::string& type, const std::string& field) const {
+  auto fields = resolved_fields_.find(type);
+  if (fields == resolved_fields_.end()) return nullptr;
+  auto it = fields->second.find(field);
+  return it == fields->second.end() ? nullptr : &it->second;
+}
+
 Result<Value> Database::GetField(RecordId id, const std::string& field) const {
   const StoredRecord* rec = store_.Get(id);
   if (rec == nullptr) {
     return Status::NotFound("record " + std::to_string(id));
   }
   ++stats_.records_read;
-  const RecordTypeDef* type = schema_.FindRecordType(rec->type);
-  const FieldDef* f = type->FindField(field);
+  const ResolvedField* f = ResolveField(rec->type, field);
   if (f == nullptr) {
     return Status::NotFound("field " + rec->type + "." + field);
   }
   if (!f->is_virtual) {
-    auto it = rec->fields.find(ToUpper(f->name));
+    auto it = rec->fields.find(f->key);
     return it == rec->fields.end() ? Value() : it->second;
   }
-  RecordId owner = store_.OwnerOf(ToUpper(f->via_set), id);
+  RecordId owner = store_.OwnerOf(f->via_set, id);
   if (owner == 0 || owner == kSystemOwner) return Value();
   return GetField(owner, f->using_field);
 }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/string_util.h"
 #include "engine/predicate.h"
 #include "schema/schema.h"
 #include "storage/extent.h"
@@ -95,6 +96,10 @@ class Database {
 
   /// Record type name of `id`.
   Result<std::string> TypeOf(RecordId id) const;
+
+  /// True when `id` is a live record of `type` (case-insensitive); the
+  /// copy-free form of comparing TypeOf's result.
+  bool IsA(RecordId id, std::string_view type) const;
 
   /// Field value, resolving VIRTUAL fields through their set to the owner
   /// (null when the record is unconnected). Unknown fields are errors.
@@ -205,7 +210,31 @@ class Database {
   const Store& raw_store() const { return store_; }
 
  private:
-  explicit Database(Schema schema) : schema_(std::move(schema)) {}
+  explicit Database(Schema schema);
+
+  /// One schema field as GetField reads it. Names are upper-cased storage
+  /// keys. Values only, never pointers into schema_, so copies stay valid.
+  struct ResolvedField {
+    bool is_virtual = false;
+    /// Actual fields: the FieldMap key.
+    std::string key;
+    /// Virtual fields: the set to the owner and the owner's field.
+    std::string via_set;
+    std::string using_field;
+  };
+  using ResolvedFields =
+      std::unordered_map<std::string, ResolvedField, CaseInsensitiveHash,
+                         CaseInsensitiveEqual>;
+
+  /// One set as SortedPosition reads it: upper-cased name and key fields.
+  struct ResolvedSet {
+    std::string name;
+    std::vector<std::string> keys;
+  };
+
+  /// The resolution of `type`.`field`, or nullptr when either is unknown.
+  const ResolvedField* ResolveField(const std::string& type,
+                                    const std::string& field) const;
 
   /// One secondary access path over an actual field: canonical equality key
   /// -> live record ids ascending. For the probe shapes ProbeIndex accepts,
@@ -268,8 +297,9 @@ class Database {
       const std::string& type, const Predicate& pred,
       const HostEnv& host_env) const;
 
-  /// Compares two member records by a set's key fields.
-  int CompareByKeys(const SetDef& set, RecordId a, RecordId b) const;
+  /// Compares two member records by a set's (upper-cased) key fields.
+  int CompareByKeys(const std::vector<std::string>& keys, RecordId a,
+                    RecordId b) const;
 
   /// Position at which `member` belongs in `set`'s occurrence of `owner`;
   /// fails on duplicate full key (paper section 4.2).
@@ -283,6 +313,14 @@ class Database {
   Status ConnectInternal(const SetDef& set, RecordId member, RecordId owner);
 
   Schema schema_;
+  /// Built once from the immutable schema_: record type -> field -> its
+  /// resolution, and set name -> its sort keys. Lookups ignore case.
+  std::unordered_map<std::string, ResolvedFields, CaseInsensitiveHash,
+                     CaseInsensitiveEqual>
+      resolved_fields_;
+  std::unordered_map<std::string, ResolvedSet, CaseInsensitiveHash,
+                     CaseInsensitiveEqual>
+      resolved_sets_;
   Store store_;
   /// constraint name -> serialized key -> record id.
   std::unordered_map<std::string, std::unordered_map<std::string, RecordId>>

@@ -244,9 +244,13 @@ std::optional<std::vector<RecordId>> QualificationCandidates(
     const Database& db, const std::string& type, const Predicate& pred,
     const HostEnv& host_env, const std::vector<RecordId>& ids) {
   if (!db.index_options().enabled || ids.empty()) return std::nullopt;
+  // Only equality conjuncts can be probed; without one there is nothing
+  // to gain, so skip the per-id checks below.
+  std::vector<const Predicate*> conjuncts;
+  CollectEqualityConjuncts(pred, &conjuncts);
+  if (conjuncts.empty()) return std::nullopt;
   for (RecordId id : ids) {
-    Result<std::string> t = db.TypeOf(id);
-    if (!t.ok() || !EqualsIgnoreCase(*t, type)) return std::nullopt;
+    if (!db.IsA(id, type)) return std::nullopt;
   }
   std::vector<std::string> host_vars;
   pred.CollectHostVars(&host_vars);
@@ -256,8 +260,6 @@ std::optional<std::vector<RecordId>> QualificationCandidates(
     if (!r.ok()) return std::nullopt;
     resolved[v] = *r;
   }
-  std::vector<const Predicate*> conjuncts;
-  CollectEqualityConjuncts(pred, &conjuncts);
   std::optional<std::vector<RecordId>> best;
   for (const Predicate* c : conjuncts) {
     const Value& probe = c->operand().kind == Operand::Kind::kHostVar

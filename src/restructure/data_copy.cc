@@ -866,14 +866,13 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseBulk(const Database& source,
       }
     } else if (fast_eligible) {
       const Store& src_store = source.raw_store();
-      Store::ReadCursor cursor = src_store.Cursor();
       std::vector<const Value*> chosen(col_names.size());
       std::vector<const Value*> ptrs(col_names.size());
       std::vector<char> virt_present(static_cast<size_t>(n_virtual));
       std::vector<Value> scratch;  // coerced temporaries, one row at a time
       scratch.reserve(col_names.size());
       for (RecordId id : ordered) {
-        const StoredRecord* rec = cursor.Next(id);
+        const StoredRecord* rec = src_store.Get(id);
         std::fill(chosen.begin(), chosen.end(), nullptr);
         std::fill(virt_present.begin(), virt_present.end(), 0);
         scratch.clear();
@@ -970,9 +969,8 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseBulk(const Database& source,
     // --- generic staging --------------------------------------------------
     if (!fast_eligible || fast_fallback) {
       std::vector<Value> row(col_names.size());
-      Store::ReadCursor cursor = source.raw_store().Cursor();
       for (RecordId id : ordered) {
-        const StoredRecord* rec = cursor.Next(id);
+        const StoredRecord* rec = source.raw_store().Get(id);
         FieldMap incoming;
         for (const auto& [field, value] : rec->fields) {
           const std::optional<std::string>& target_field = mapper.Map(field);

@@ -13,9 +13,11 @@ RecordId Store::Insert(std::string type, FieldMap fields) {
   rec.type = std::move(type);
   rec.fields = std::move(fields);
   by_type_[rec.type].push_back(id);
-  // Ids are monotonic, so every insert lands at the end of the map; the
-  // hint turns bulk loads from O(log n) per record into amortized O(1).
-  records_.emplace_hint(records_.end(), id, std::move(rec));
+  // Ids are monotonic, so the new slot is at or past the heap's end; any
+  // gap is the ids of adopted columnar rows, which stay empty slots.
+  heap_.resize(id - 1);
+  heap_.push_back(std::move(rec));
+  ++heap_live_;
   return id;
 }
 
@@ -62,46 +64,49 @@ const StoredRecord* Store::Promote(RecordId id) const {
   seg->vacated[row] = true;
   --seg->live;
   --columnar_live_;
-  return &records_.emplace(id, std::move(rec)).first->second;
+  if (heap_.size() < id) heap_.resize(id);
+  StoredRecord& slot = heap_[id - 1];
+  slot = std::move(rec);
+  ++heap_live_;
+  return &slot;
 }
 
 Status Store::Remove(RecordId id) {
-  auto it = records_.find(id);
-  if (it == records_.end()) {
-    auto [seg, row] = SegmentRow(id);
-    if (seg == nullptr) {
+  StoredRecord* rec = HeapRecord(id);
+  std::pair<ColumnarSegment*, size_t> columnar{nullptr, 0};
+  if (rec == nullptr) {
+    columnar = SegmentRow(id);
+    if (columnar.first == nullptr) {
       return Status::NotFound("record " + std::to_string(id));
     }
-    auto dir = by_type_.find(seg->table.type());
-    if (dir != by_type_.end()) {
-      std::vector<RecordId>& ids = dir->second;
-      auto pos = std::lower_bound(ids.begin(), ids.end(), id);
-      if (pos != ids.end() && *pos == id) ids.erase(pos);
-    }
-    seg->vacated[row] = true;
-    --seg->live;
-    --columnar_live_;
-    return Status::OK();
   }
-  auto dir = by_type_.find(it->second.type);
+  const std::string& type =
+      rec != nullptr ? rec->type : columnar.first->table.type();
+  auto dir = by_type_.find(type);
   if (dir != by_type_.end()) {
     std::vector<RecordId>& ids = dir->second;
     auto pos = std::lower_bound(ids.begin(), ids.end(), id);
     if (pos != ids.end() && *pos == id) ids.erase(pos);
   }
-  records_.erase(it);
+  if (rec != nullptr) {
+    *rec = StoredRecord();  // id 0 marks the slot empty
+    --heap_live_;
+    return Status::OK();
+  }
+  auto [seg, row] = columnar;
+  seg->vacated[row] = true;
+  --seg->live;
+  --columnar_live_;
   return Status::OK();
 }
 
 bool Store::Exists(RecordId id) const {
-  if (records_.count(id) > 0) return true;
-  return SegmentRow(id).first != nullptr;
+  return HeapRecord(id) != nullptr || SegmentRow(id).first != nullptr;
 }
 
 const StoredRecord* Store::Get(RecordId id) const {
-  auto it = records_.find(id);
-  if (it != records_.end()) return &it->second;
-  return Promote(id);
+  const StoredRecord* rec = HeapRecord(id);
+  return rec != nullptr ? rec : Promote(id);
 }
 
 StoredRecord* Store::GetMutable(RecordId id) {
@@ -116,8 +121,10 @@ const std::vector<RecordId>& Store::OfType(const std::string& type) const {
 
 std::vector<RecordId> Store::AllRecords() const {
   std::vector<RecordId> heap_ids;
-  heap_ids.reserve(records_.size());
-  for (const auto& [id, rec] : records_) heap_ids.push_back(id);
+  heap_ids.reserve(heap_live_);
+  for (const StoredRecord& rec : heap_) {
+    if (rec.id != 0) heap_ids.push_back(rec.id);
+  }
   if (columnar_live_ == 0) return heap_ids;
   std::vector<RecordId> columnar_ids;
   columnar_ids.reserve(columnar_live_);
@@ -128,7 +135,7 @@ std::vector<RecordId> Store::AllRecords() const {
       }
     }
   }
-  // Both runs are ascending (map order; rows within a segment ascend).
+  // Both runs are ascending (slot order; rows within a segment ascend).
   std::vector<RecordId> out;
   out.reserve(heap_ids.size() + columnar_ids.size());
   std::merge(heap_ids.begin(), heap_ids.end(), columnar_ids.begin(),

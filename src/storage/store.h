@@ -2,6 +2,7 @@
 #define DBPC_STORAGE_STORE_H_
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -27,6 +28,11 @@ namespace dbpc {
 /// record-at-a-time accessor first touches them, at which point they are
 /// promoted (materialized) into the record heap. Record-at-a-time callers
 /// cannot tell the difference — `Get` et al. are a view over both layouts.
+///
+/// The record heap is dense and indexed by id, so `Get` and `Exists` are
+/// constant-time. A `Get` pointer stays valid until that record is removed
+/// or the store is destroyed, however many other records are inserted,
+/// adopted or promoted in the meantime.
 class Store {
   struct SetIndex;  // defined below; named by BulkLinker
 
@@ -47,30 +53,6 @@ class Store {
   bool Exists(RecordId id) const;
   const StoredRecord* Get(RecordId id) const;
   StoredRecord* GetMutable(RecordId id);
-
-  /// Read cursor for bulk scans in (mostly) ascending id order: Next(id)
-  /// returns Get(id), but consecutive calls with increasing ids amortize
-  /// the heap lookup into one ordered walk. Out-of-order ids and columnar
-  /// rows fall back to Get, so any call sequence is correct.
-  class ReadCursor {
-   public:
-    const StoredRecord* Next(RecordId id) {
-      while (it_ != end_ && it_->first < id) ++it_;
-      if (it_ != end_ && it_->first == id) return &it_->second;
-      return store_->Get(id);
-    }
-
-   private:
-    friend class Store;
-    explicit ReadCursor(const Store* store)
-        : store_(store),
-          it_(store->records_.begin()),
-          end_(store->records_.end()) {}
-    const Store* store_;
-    std::map<RecordId, StoredRecord>::const_iterator it_;
-    std::map<RecordId, StoredRecord>::const_iterator end_;
-  };
-  ReadCursor Cursor() const { return ReadCursor(this); }
 
   /// Read-side accessor bound to one set: the set index is resolved once
   /// instead of per OwnerOf probe. An absent set binds to a null reader
@@ -124,7 +106,7 @@ class Store {
   /// the whole point of keeping adopted extents columnar.
   std::vector<ColumnarRun> ColumnarRuns(const std::string& type) const;
 
-  size_t LiveCount() const { return records_.size() + columnar_live_; }
+  size_t LiveCount() const { return heap_live_ + columnar_live_; }
 
   // --- set membership -------------------------------------------------
 
@@ -217,13 +199,26 @@ class Store {
   /// the columnar members exist to serve logically-const promotion.
   std::pair<ColumnarSegment*, size_t> SegmentRow(RecordId id) const;
 
+  /// The heap slot of `id` when it holds a record, else nullptr.
+  StoredRecord* HeapRecord(RecordId id) const {
+    if (id == 0 || id > heap_.size()) return nullptr;
+    StoredRecord& slot = heap_[id - 1];
+    return slot.id == 0 ? nullptr : &slot;
+  }
+
   /// Materializes columnar row `id` into the record heap; nullptr when
   /// `id` is not a live columnar row. Promotion never changes the set of
   /// live records or any observable value, so it is logically const.
   const StoredRecord* Promote(RecordId id) const;
 
   RecordId next_id_ = 1;
-  mutable std::map<RecordId, StoredRecord> records_;
+  /// Slot i holds record id i + 1; a slot whose `id` is 0 is empty (a
+  /// columnar row not yet promoted, or a removed record). A deque never
+  /// relocates its elements when it grows at the end, which is what keeps
+  /// `Get` pointers stable.
+  mutable std::deque<StoredRecord> heap_;
+  /// Occupied heap slots.
+  mutable size_t heap_live_ = 0;
   mutable std::map<RecordId, ColumnarSegment> segments_;
   /// Live rows across all segments (not yet promoted or removed).
   mutable size_t columnar_live_ = 0;

@@ -1,5 +1,7 @@
 #include "engine/database.h"
 
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "testing/fixtures.h"
@@ -298,6 +300,77 @@ TEST(DatabaseTest, GetAllFieldsIncludesVirtual) {
   EXPECT_EQ(all->at("DIV-NAME").as_string(), "MACHINERY");
   EXPECT_EQ(all->at("EMP-NAME").as_string(), "ADAMS");
   EXPECT_EQ(all->size(), 4u);
+}
+
+TEST(DatabaseTest, MixedCaseFieldNamesResolve) {
+  Database db = MakeCompanyDatabase();
+  RecordId machinery = db.SystemMembers("ALL-DIV")[0];
+  RecordId adams = db.Members("DIV-EMP", machinery)[0];
+  EXPECT_EQ(db.GetField(adams, "emp-name")->as_string(), "ADAMS");
+  EXPECT_EQ(db.GetField(adams, "Emp-Name")->as_string(), "ADAMS");
+  EXPECT_EQ(db.GetField(adams, "div-Name")->as_string(), "MACHINERY");
+  // A record stored through the raw store with a lower-case type string
+  // resolves against its schema type all the same.
+  RecordId raw = db.mutable_store().Insert(
+      "div", {{"DIV-NAME", Value::String("RAW")}});
+  EXPECT_EQ(db.GetField(raw, "Div-Name")->as_string(), "RAW");
+}
+
+TEST(DatabaseTest, UnknownFieldReadIsNotFound) {
+  Database db = MakeCompanyDatabase();
+  RecordId emp = db.AllOfType("EMP")[0];
+  Result<Value> v = db.GetField(emp, "No-Such");
+  ASSERT_FALSE(v.ok());
+  EXPECT_EQ(v.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(v.status().message(), "field EMP.No-Such");
+  Result<Value> gone = db.GetField(987654, "EMP-NAME");
+  ASSERT_FALSE(gone.ok());
+  EXPECT_EQ(gone.status().message(), "record 987654");
+}
+
+TEST(DatabaseTest, VirtualFieldNullWhenOwnerAbsentOrSystem) {
+  Database db = MakeCompanyDatabase();
+  RecordId emp = db.AllOfType("EMP")[0];
+  // Raw-store surgery: detach the member, then hang it off the SYSTEM
+  // pseudo-owner, which has no fields to read.
+  ASSERT_TRUE(db.mutable_store().Unlink("DIV-EMP", emp).ok());
+  Result<Value> absent = db.GetField(emp, "DIV-NAME");
+  ASSERT_TRUE(absent.ok()) << absent.status();
+  EXPECT_TRUE(absent->is_null());
+  ASSERT_TRUE(db.mutable_store().LinkLast("DIV-EMP", kSystemOwner, emp).ok());
+  Result<Value> system = db.GetField(emp, "DIV-NAME");
+  ASSERT_TRUE(system.ok()) << system.status();
+  EXPECT_TRUE(system->is_null());
+}
+
+TEST(DatabaseTest, CopyReadsFieldsAfterOriginalIsDestroyed) {
+  auto original = std::make_unique<Database>(MakeCompanyDatabase());
+  RecordId machinery = original->SystemMembers("ALL-DIV")[0];
+  RecordId adams = original->Members("DIV-EMP", machinery)[0];
+  Database copy = *original;
+  original.reset();
+  EXPECT_EQ(copy.GetField(adams, "EMP-NAME")->as_string(), "ADAMS");
+  EXPECT_EQ(copy.GetField(adams, "div-name")->as_string(), "MACHINERY");
+  EXPECT_EQ(copy.GetField(adams, "NO-SUCH").status().code(),
+            StatusCode::kNotFound);
+  // Sorted-set maintenance reads the copy's set keys too.
+  Result<RecordId> aaron = copy.StoreRecord(
+      {"EMP", {{"EMP-NAME", Value::String("AARON")}}, {{"DIV-EMP", machinery}}});
+  ASSERT_TRUE(aaron.ok()) << aaron.status();
+  EXPECT_EQ(copy.Members("DIV-EMP", machinery)[0], *aaron);
+}
+
+TEST(DatabaseTest, OneHopVirtualFieldReadsTwoRecords) {
+  Database db = MakeCompanyDatabase();
+  RecordId machinery = db.SystemMembers("ALL-DIV")[0];
+  RecordId adams = db.Members("DIV-EMP", machinery)[0];
+  db.ResetStats();
+  ASSERT_TRUE(db.GetField(adams, "EMP-NAME").ok());
+  EXPECT_EQ(db.stats().records_read, 1u);
+  db.ResetStats();
+  ASSERT_TRUE(db.GetField(adams, "DIV-NAME").ok());
+  EXPECT_EQ(db.stats().records_read, 2u);
+  EXPECT_EQ(db.stats().Total(), 2u);
 }
 
 }  // namespace

@@ -141,7 +141,7 @@ TEST(StoreTest, OfTypeReferenceSurvivesInsertsOfOtherTypes) {
 }
 
 TEST(StoreTest, GetPointerSurvivesLaterInserts) {
-  // Record pointers are node-stable too: bulk loaders may hold a
+  // Record pointers are stable too: bulk loaders may hold a
   // StoredRecord* across subsequent inserts.
   Store store;
   RecordId id = store.Insert("A", {{"F", Value::Int(7)}});
@@ -187,6 +187,92 @@ TEST(StoreTest, CloneIsDeep) {
   // Original unaffected.
   EXPECT_EQ(store.OwnerOf("S", m), owner);
   EXPECT_EQ(store.Get(m)->fields.at("F").as_int(), 1);
+}
+
+ExtentTable IntRows(const std::string& type, int rows) {
+  ExtentTable table(type, {"F"}, {FieldType::kInt});
+  for (int i = 0; i < rows; ++i) table.AppendRow(0, {Value::Int(100 + i)});
+  return table;
+}
+
+TEST(StoreTest, GetPointerSurvivesAdoptionAndPromotionOfOtherIds) {
+  // The dense heap's stability rule: a Get pointer stays put while other
+  // records are inserted, adopted as columnar rows or promoted into the
+  // heap, including promotions that grow the heap past its end.
+  Store store;
+  RecordId heap_id = store.Insert("A", {{"F", Value::Int(7)}});
+  const StoredRecord* heap_rec = store.Get(heap_id);
+  const ExtentTable& rows = store.AdoptExtents(IntRows("C", 600));
+  const StoredRecord* promoted = store.Get(rows.IdAt(0));
+  ASSERT_NE(promoted, nullptr);
+  ASSERT_NE(store.Get(rows.IdAt(599)), nullptr);  // last row: heap grows
+  for (int i = 0; i < 1000; ++i) store.Insert("A", {});
+  store.AdoptExtents(IntRows("C", 300));
+  for (size_t r = 1; r < 599; r += 7) ASSERT_NE(store.Get(rows.IdAt(r)), nullptr);
+  EXPECT_EQ(store.Get(heap_id), heap_rec);
+  EXPECT_EQ(heap_rec->fields.at("F").as_int(), 7);
+  EXPECT_EQ(store.Get(rows.IdAt(0)), promoted);
+  EXPECT_EQ(promoted->id, rows.IdAt(0));
+  EXPECT_EQ(promoted->type, "C");
+  EXPECT_EQ(promoted->fields.at("F").as_int(), 100);
+}
+
+TEST(StoreTest, RemoveOfHeapAndColumnarRows) {
+  Store store;
+  RecordId a1 = store.Insert("A", {});
+  RecordId a2 = store.Insert("A", {});
+  const ExtentTable& rows = store.AdoptExtents(IntRows("C", 3));
+  RecordId c1 = rows.IdAt(0);
+  RecordId c2 = rows.IdAt(1);
+  RecordId c3 = rows.IdAt(2);
+  RecordId a3 = store.Insert("A", {});
+  ASSERT_NE(store.Get(c2), nullptr);  // promoted: now a heap row
+  EXPECT_EQ(store.LiveCount(), 6u);
+  ASSERT_TRUE(store.Remove(a2).ok());  // heap row
+  ASSERT_TRUE(store.Remove(c1).ok());  // columnar row
+  ASSERT_TRUE(store.Remove(c2).ok());  // promoted row
+  for (RecordId gone : {a2, c1, c2}) {
+    EXPECT_FALSE(store.Exists(gone)) << gone;
+    EXPECT_EQ(store.Get(gone), nullptr) << gone;
+    EXPECT_EQ(store.Remove(gone).code(), StatusCode::kNotFound) << gone;
+  }
+  for (RecordId live : {a1, c3, a3}) {
+    EXPECT_TRUE(store.Exists(live)) << live;
+    ASSERT_NE(store.Get(live), nullptr) << live;
+    EXPECT_EQ(store.Get(live)->id, live);
+  }
+  EXPECT_FALSE(store.Exists(0));
+  EXPECT_FALSE(store.Exists(a3 + 1));
+  EXPECT_FALSE(store.Exists(kSystemOwner));
+  EXPECT_EQ(store.Get(kSystemOwner), nullptr);
+  EXPECT_EQ(store.LiveCount(), 3u);
+  EXPECT_EQ(store.AllRecords(), (std::vector<RecordId>{a1, c3, a3}));
+  EXPECT_EQ(store.AllOfType("C"), (std::vector<RecordId>{c3}));
+}
+
+TEST(StoreTest, CloneIsIndependentOfItsOriginal) {
+  Store store;
+  RecordId a = store.Insert("A", {{"F", Value::Int(1)}});
+  const ExtentTable& rows = store.AdoptExtents(IntRows("C", 2));
+  RecordId c1 = rows.IdAt(0);
+  RecordId c2 = rows.IdAt(1);
+  Store copy = store.Clone();
+  // Promote, remove and insert in the copy only.
+  ASSERT_NE(copy.Get(c1), nullptr);
+  ASSERT_TRUE(copy.Remove(c2).ok());
+  ASSERT_TRUE(copy.Remove(a).ok());
+  RecordId fresh = copy.Insert("A", {});
+  EXPECT_EQ(copy.AllRecords(), (std::vector<RecordId>{c1, fresh}));
+  EXPECT_EQ(store.AllRecords(), (std::vector<RecordId>{a, c1, c2}));
+  EXPECT_EQ(store.LiveCount(), 3u);
+  EXPECT_FALSE(store.Exists(fresh));
+  EXPECT_EQ(store.ColumnarRuns("C")[0].live, 2u);
+  // And the other way round: the original's records are its own.
+  store.GetMutable(a)->fields["F"] = Value::Int(2);
+  EXPECT_NE(store.Get(c1), copy.Get(c1));
+  EXPECT_EQ(copy.Get(a), nullptr);
+  EXPECT_EQ(copy.Get(c1)->fields.at("F").as_int(), 100);
+  EXPECT_EQ(store.Get(a)->fields.at("F").as_int(), 2);
 }
 
 }  // namespace

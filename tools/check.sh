@@ -1,10 +1,12 @@
 #!/bin/sh
 # One-command verification: the tier-1 build + test suite, then the
-# concurrency-sensitive service tests again under ThreadSanitizer.
+# concurrency-sensitive service tests again under ThreadSanitizer and the
+# storage/engine tests and fuzz axes under AddressSanitizer.
 #
 #   tools/check.sh [jobs]
 #
-# Build trees: build/ (plain) and build-tsan/ (-DDBPC_SANITIZE=thread).
+# Build trees: build/ (plain), build-tsan/ (-DDBPC_SANITIZE=thread) and
+# build-asan/ (-DDBPC_SANITIZE=address).
 # The sanitizer matrix also accepts address and undefined; see the
 # DBPC_SANITIZE option in the top-level CMakeLists.txt.
 set -eu
@@ -148,5 +150,21 @@ cmake --build build-tsan -j "$JOBS" \
   && ./reactor_test && ./admin_test)
 (cd build-tsan/tests/storage && ./store_test && ./extent_test)
 (cd build-tsan/tests/convert && ./template_cache_test)
+
+# The record heap hands out raw StoredRecord pointers and the engine keeps
+# its field-resolution tables by value; ASan catches a dangling pointer or
+# an out-of-bounds slot that the plain build would read silently.
+echo "== asan: storage/engine tests + fuzz axes under -DDBPC_SANITIZE=address (build-asan/) =="
+cmake -B build-asan -S . -DDBPC_SANITIZE=address >/dev/null
+cmake --build build-asan -j "$JOBS" \
+  --target store_test extent_test database_test bulk_load_test index_test \
+           interpreter_test data_copy_test dbpc_fuzz_tool
+(cd build-asan/tests/storage && ./store_test && ./extent_test)
+(cd build-asan/tests/engine && ./database_test && ./bulk_load_test \
+  && ./index_test)
+(cd build-asan/tests/lang && ./interpreter_test)
+(cd build-asan/tests/restructure && ./data_copy_test)
+./build-asan/tools/dbpc_fuzz --diff-columnar --seed 1 --iterations 50
+./build-asan/tools/dbpc_fuzz --diff-index --seed 1 --iterations 50
 
 echo "== check.sh: all green =="
