@@ -98,15 +98,6 @@ void Histogram::Record(uint64_t micros) {
   buckets_[BucketIndex(micros)].fetch_add(1, std::memory_order_relaxed);
 }
 
-void Histogram::Timer::Stop() {
-  if (histogram_ == nullptr) return;
-  auto elapsed = std::chrono::steady_clock::now() - start_;
-  histogram_->Record(static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
-          .count()));
-  histogram_ = nullptr;
-}
-
 uint64_t Histogram::MinMicros() const {
   uint64_t v = min_.load(std::memory_order_relaxed);
   return v == UINT64_MAX ? 0 : v;
@@ -155,6 +146,13 @@ Counter* MetricsRegistry::GetCounter(const std::string& name) {
   std::unique_ptr<Counter>& slot = counters_[name];
   if (!slot) slot = std::make_unique<Counter>();
   return slot.get();
+}
+
+void MetricsRegistry::AddCounts(
+    std::initializer_list<std::pair<const char*, int64_t>> counts) {
+  for (const auto& [name, count] : counts) {
+    if (count > 0) GetCounter(name)->Increment(static_cast<uint64_t>(count));
+  }
 }
 
 Gauge* MetricsRegistry::GetGauge(const std::string& name) {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -95,23 +96,6 @@ class Histogram {
 
   void Record(uint64_t micros);
 
-  /// Times a region and records its duration on destruction.
-  class Timer {
-   public:
-    explicit Timer(Histogram* histogram)
-        : histogram_(histogram), start_(std::chrono::steady_clock::now()) {}
-    ~Timer() { Stop(); }
-    Timer(const Timer&) = delete;
-    Timer& operator=(const Timer&) = delete;
-
-    /// Records now instead of at destruction; idempotent.
-    void Stop();
-
-   private:
-    Histogram* histogram_;
-    std::chrono::steady_clock::time_point start_;
-  };
-
   uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
   uint64_t SumMicros() const { return sum_.load(std::memory_order_relaxed); }
   uint64_t MinMicros() const;  ///< 0 when empty.
@@ -191,6 +175,11 @@ class MetricsRegistry {
   Gauge* GetGauge(const std::string& name);
   RollingRate* GetRate(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
+
+  /// Adds each positive count to its named counter; a count <= 0 neither
+  /// increments nor registers the counter.
+  void AddCounts(
+      std::initializer_list<std::pair<const char*, int64_t>> counts);
 
   /// Copies every metric's current value. Holds `mu_` only for the copy;
   /// callers format the result outside the lock.

@@ -1,7 +1,5 @@
 #include "convert/converter.h"
 
-#include <chrono>
-
 #include "common/string_util.h"
 #include "convert/provenance.h"
 #include "restructure/rewrite_util.h"
@@ -109,17 +107,18 @@ Result<ProgramConverter> ProgramConverter::Create(
 }
 
 Result<ConversionResult> ProgramConverter::Convert(
-    const Program& source_program, SpanContext span) const {
+    const Program& source_program, SpanContext span,
+    RequestTimeline* timeline) const {
+  RequestTimeline own_timeline;
+  if (timeline == nullptr) timeline = &own_timeline;
   ConversionResult result;
   SpanContext analyze_span = span.StartChild("program_analyzer");
-  auto analyze_start = std::chrono::steady_clock::now();
+  timeline->Stamp(Mark::kAnalyzeStart);
   ProgramAnalyzer analyzer(schemas_.front(), analyzer_options_);
   DBPC_ASSIGN_OR_RETURN(result.analysis, analyzer.Analyze(source_program));
-  auto convert_start = std::chrono::steady_clock::now();
-  result.analyze_micros = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(convert_start -
-                                                            analyze_start)
-          .count());
+  timeline->Stamp(Mark::kAnalyzed);
+  result.analyze_micros =
+      *timeline->Micros(Mark::kAnalyzeStart, Mark::kAnalyzed);
   analyze_span.SetAttribute("classification",
                             ConvertibilityName(result.analysis.convertibility));
   analyze_span.AddCounter("issues", result.analysis.issues.size());
@@ -130,6 +129,8 @@ Result<ConversionResult> ProgramConverter::Convert(
   if (result.outcome == Convertibility::kNotConvertible) {
     result.notes.push_back(
         "conversion refused: program behaviour varies at run time");
+    // A refused program is not rewritten: its convert stage is empty.
+    timeline->StampAt(Mark::kConverted, timeline->At(Mark::kAnalyzed));
     return result;
   }
 
@@ -196,10 +197,8 @@ Result<ConversionResult> ProgramConverter::Convert(
     return Status::Internal("converted program does not fit target schema: " +
                             resolve_status.message());
   }
-  result.convert_micros = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - convert_start)
-          .count());
+  timeline->Stamp(Mark::kConverted);
+  result.convert_micros = *timeline->Micros(Mark::kAnalyzed, Mark::kConverted);
   return result;
 }
 

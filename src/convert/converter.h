@@ -6,6 +6,7 @@
 
 #include "analyze/analyzer.h"
 #include "common/span.h"
+#include "common/timeline.h"
 #include "lang/ast.h"
 #include "restructure/transformation.h"
 #include "schema/schema.h"
@@ -47,8 +48,9 @@ struct ConversionResult {
   /// empty when the conversion was refused before numbering. See
   /// convert/provenance.h.
   std::vector<std::string> source_statements;
-  /// Wall time spent in the Program Analyzer / in rule rewriting, for the
-  /// per-stage latency metrics (common/metrics.h).
+  /// Wall time spent in the Program Analyzer / in rule rewriting: the
+  /// timeline's kAnalyzeStart->kAnalyzed and kAnalyzed->kConverted spans
+  /// (common/timeline.h). Zero on a template-cache hit.
   uint64_t analyze_micros = 0;
   uint64_t convert_micros = 0;
 };
@@ -69,9 +71,11 @@ class ProgramConverter {
   /// With an enabled `span`, emits Figure 4.1 stage spans
   /// (program_analyzer, program_converter) with per-transformation
   /// subspans and a per-rewrite-rule subspan for every statement a step
-  /// produced or modified, provenance attached as attributes.
+  /// produced or modified, provenance attached as attributes. A non-null
+  /// `timeline` receives the kAnalyzeStart, kAnalyzed and kConverted marks.
   Result<ConversionResult> Convert(const Program& source_program,
-                                   SpanContext span = {}) const;
+                                   SpanContext span = {},
+                                   RequestTimeline* timeline = nullptr) const;
 
   const Schema& source_schema() const { return schemas_.front(); }
   const Schema& target_schema() const { return schemas_.back(); }

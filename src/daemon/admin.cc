@@ -1,10 +1,7 @@
 #include "daemon/admin.h"
 
-#include <arpa/inet.h>
 #include <errno.h>
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <string.h>
 #include <sys/epoll.h>
@@ -18,6 +15,7 @@
 #include <vector>
 
 #include "common/log.h"
+#include "daemon/sock_buffer.h"
 
 namespace dbpc {
 
@@ -243,7 +241,10 @@ Result<std::unique_ptr<AdminServer>> AdminServer::Start(AdminOptions options,
   }
   std::unique_ptr<AdminServer> server(
       new AdminServer(std::move(options), std::move(hooks), reactor));
-  DBPC_RETURN_IF_ERROR(server->Listen());
+  DBPC_ASSIGN_OR_RETURN(
+      server->listen_fd_,
+      ListenTcp(server->options_.host, server->options_.port, 16, "admin",
+                &server->port_));
   std::promise<Status> registered;
   AdminServer* raw = server.get();
   reactor.Post(
@@ -252,39 +253,6 @@ Result<std::unique_ptr<AdminServer>> AdminServer::Start(AdminOptions options,
   DBPC_LOG(LogLevel::kInfo, "admin_listening",
            {"host", server->options_.host}, {"port", server->port_});
   return server;
-}
-
-Status AdminServer::Listen() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::Internal(std::string("socket: ") + strerror(errno));
-  }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  struct sockaddr_in addr;
-  memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(options_.port));
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("cannot parse admin address \"" +
-                                   options_.host + "\" (want IPv4 dotted)");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    return Status::Unavailable("bind admin " + options_.host + ":" +
-                               std::to_string(options_.port) + ": " +
-                               strerror(errno));
-  }
-  if (::listen(listen_fd_, 16) != 0) {
-    return Status::Internal(std::string("listen: ") + strerror(errno));
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
-                    &len) != 0) {
-    return Status::Internal(std::string("getsockname: ") + strerror(errno));
-  }
-  port_ = ntohs(addr.sin_port);
-  return Status::OK();
 }
 
 std::string AdminServer::BuildResponse(const HttpRequest& request) {
@@ -472,46 +440,11 @@ Result<HttpResponse> HttpGet(const std::string& host, int port,
                              const std::string& path, int timeout_ms) {
   SteadyClock::time_point deadline =
       SteadyClock::now() + std::chrono::milliseconds(timeout_ms);
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::Internal(std::string("socket: ") + strerror(errno));
-  }
+  DBPC_ASSIGN_OR_RETURN(int fd, ConnectTcp(host, port, timeout_ms));
   struct FdCloser {
     int fd;
     ~FdCloser() { ::close(fd); }
   } closer{fd};
-  SetNonBlocking(fd);
-  struct sockaddr_in addr;
-  memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("cannot parse host \"" + host +
-                                   "\" (want IPv4 dotted)");
-  }
-  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    if (errno != EINPROGRESS) {
-      return Status::Unavailable("connect " + host + ":" +
-                                 std::to_string(port) + ": " +
-                                 strerror(errno));
-    }
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = POLLOUT;
-    pfd.revents = 0;
-    if (::poll(&pfd, 1, RemainingMs(deadline)) <= 0) {
-      return Status::DeadlineExceeded("connect " + host + ":" +
-                                      std::to_string(port) + " timed out");
-    }
-    int err = 0;
-    socklen_t len = sizeof(err);
-    ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len);
-    if (err != 0) {
-      return Status::Unavailable("connect " + host + ":" +
-                                 std::to_string(port) + ": " + strerror(err));
-    }
-  }
   std::string request = "GET " + path + " HTTP/1.0\r\nHost: " + host +
                         "\r\nConnection: close\r\n\r\n";
   size_t sent = 0;

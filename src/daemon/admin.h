@@ -141,8 +141,6 @@ class AdminServer {
 
   AdminServer(AdminOptions options, AdminHooks hooks, Reactor& reactor);
 
-  Status Listen();
-
   // All on the loop thread.
   Status RegisterOnLoop();
   void OnAccept();

@@ -1,12 +1,5 @@
 #include "daemon/client.h"
 
-#include <arpa/inet.h>
-#include <errno.h>
-#include <netinet/in.h>
-#include <string.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <utility>
 
 namespace dbpc {
@@ -16,25 +9,7 @@ DaemonClient::DaemonClient(std::unique_ptr<SockBuffer> sock)
 
 Result<std::unique_ptr<DaemonClient>> DaemonClient::Connect(
     const std::string& host, int port, SockBuffer::Limits limits) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::Internal(std::string("socket: ") + strerror(errno));
-  }
-  struct sockaddr_in addr;
-  memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return Status::InvalidArgument("cannot parse address \"" + host + "\"");
-  }
-  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    int err = errno;
-    ::close(fd);
-    return Status::Unavailable("connect " + host + ":" +
-                               std::to_string(port) + ": " + strerror(err));
-  }
+  DBPC_ASSIGN_OR_RETURN(int fd, ConnectTcp(host, port, /*timeout_ms=*/-1));
   // Requests are written whole (EncodeSubmit builds one string), so the
   // client side of the request/reply exchange must not sit out Nagle
   // either.

@@ -1,11 +1,6 @@
 #include "daemon/daemon.h"
 
-#include <arpa/inet.h>
-#include <errno.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
-#include <string.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -14,17 +9,24 @@
 
 #include "common/log.h"
 #include "common/string_util.h"
+#include "common/timeline.h"
 #include "daemon/protocol.h"
 
 namespace dbpc {
 
 namespace {
 
-uint64_t ElapsedMicros(std::chrono::steady_clock::time_point start) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
+bool Finished(JobState state) {
+  return state == JobState::kDone || state == JobState::kFailed;
+}
+
+std::string NoSuchJob(JobId id) {
+  return ErrReplyLine(Status::NotFound("no such job " + std::to_string(id)));
+}
+
+/// The `+DATA` reply carrying a finished job's response.
+std::string ResultReply(const ConversionResponse& response) {
+  return DataReply(EncodeResponsePayload(response), ResponseFields(response));
 }
 
 Status PositiveKnob(const char* knob, int value) {
@@ -107,8 +109,9 @@ Result<std::unique_ptr<ConversionDaemon>> ConversionDaemon::Start(
   daemon->jobs_completed_counter_ =
       metrics.GetCounter("daemon.jobs_completed");
   daemon->drains_ = metrics.GetCounter("daemon.drains");
-  daemon->queue_wait_us_ = metrics.GetHistogram("daemon.queue_wait_us");
-  daemon->request_us_ = metrics.GetHistogram("daemon.request_us");
+  // Registered up front so every snapshot shows them, traffic or not.
+  metrics.GetHistogram(kQueueWaitUs.histogram);
+  metrics.GetHistogram(kRequestUs.histogram);
   daemon->queue_depth_gauge_ = metrics.GetGauge("daemon.queue_depth");
   daemon->inflight_gauge_ = metrics.GetGauge("daemon.inflight_jobs");
   daemon->active_sessions_gauge_ = metrics.GetGauge("daemon.active_sessions");
@@ -120,7 +123,10 @@ Result<std::unique_ptr<ConversionDaemon>> ConversionDaemon::Start(
                           Reactor::Create("dbpcd-io-" + std::to_string(i)));
     daemon->shards_.push_back(std::move(shard));
   }
-  DBPC_RETURN_IF_ERROR(daemon->Listen());
+  DBPC_ASSIGN_OR_RETURN(
+      daemon->listen_fd_,
+      ListenTcp(daemon->options_.host, daemon->options_.port, 128, "listen",
+                &daemon->port_));
   DBPC_RETURN_IF_ERROR(daemon->StartAdmin());
   daemon->accept_thread_ =
       std::thread([raw = daemon.get()] { raw->AcceptLoop(); });
@@ -176,39 +182,6 @@ std::string ConversionDaemon::VarzJson() {
   out += ",\"metrics\":" + service_->metrics().ToJson();
   out += "}";
   return out;
-}
-
-Status ConversionDaemon::Listen() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::Internal(std::string("socket: ") + strerror(errno));
-  }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  struct sockaddr_in addr;
-  memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(options_.port));
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("cannot parse listen address \"" +
-                                   options_.host + "\" (want IPv4 dotted)");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    return Status::Unavailable("bind " + options_.host + ":" +
-                               std::to_string(options_.port) + ": " +
-                               strerror(errno));
-  }
-  if (::listen(listen_fd_, 128) != 0) {
-    return Status::Internal(std::string("listen: ") + strerror(errno));
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
-                    &len) != 0) {
-    return Status::Internal(std::string("getsockname: ") + strerror(errno));
-  }
-  port_ = ntohs(addr.sin_port);
-  return Status::OK();
 }
 
 void ConversionDaemon::AcceptLoop() {
@@ -309,9 +282,7 @@ class ConversionDaemon::EpollSession
     awaited_job_.reset();
     // Safe unlocked: RunJob wrote the response before handing out the
     // waiter under jobs_mu_, and the Post queue ordered that before us.
-    QueueReply(DataReply(EncodeResponsePayload(job->response),
-                         ResponseFields(job->response)),
-               /*close_after=*/false);
+    QueueReply(ResultReply(job->response), /*close_after=*/false);
     Pump();
   }
 
@@ -555,9 +526,7 @@ class ConversionDaemon::EpollSession
         std::lock_guard<std::mutex> lock(daemon_->jobs_mu_);
         auto it = daemon_->jobs_.find(command.id);
         if (it == daemon_->jobs_.end()) {
-          QueueReply(ErrReplyLine(Status::NotFound(
-                         "no such job " + std::to_string(command.id))),
-                     /*close_after=*/false);
+          QueueReply(NoSuchJob(command.id), /*close_after=*/false);
           return;
         }
         QueueReply(
@@ -573,15 +542,11 @@ class ConversionDaemon::EpollSession
           std::lock_guard<std::mutex> lock(daemon_->jobs_mu_);
           auto it = daemon_->jobs_.find(command.id);
           if (it == daemon_->jobs_.end()) {
-            QueueReply(ErrReplyLine(Status::NotFound(
-                           "no such job " + std::to_string(command.id))),
-                       /*close_after=*/false);
+            QueueReply(NoSuchJob(command.id), /*close_after=*/false);
             return;
           }
           job = it->second;
-          bool finished = job->state == JobState::kDone ||
-                          job->state == JobState::kFailed;
-          if (!finished) {
+          if (!Finished(job->state)) {
             if (!command.wait) {
               QueueReply(
                   OkReplyLine({{"id", std::to_string(command.id)},
@@ -606,9 +571,7 @@ class ConversionDaemon::EpollSession
                       [this] { OnResultWaitTimeout(); });
           return;
         }
-        QueueReply(DataReply(EncodeResponsePayload(job->response),
-                             ResponseFields(job->response)),
-                   /*close_after=*/false);
+        QueueReply(ResultReply(job->response), /*close_after=*/false);
         return;
       }
 
@@ -621,7 +584,6 @@ class ConversionDaemon::EpollSession
 
       case CommandKind::kTrace: {
         bool found = false;
-        bool finished = false;
         JobState state = JobState::kQueued;
         std::string payload;
         {
@@ -630,18 +592,14 @@ class ConversionDaemon::EpollSession
           if (it != daemon_->jobs_.end()) {
             found = true;
             state = it->second->state;
-            finished =
-                state == JobState::kDone || state == JobState::kFailed;
-            if (finished) payload = it->second->response.trace_text;
+            if (Finished(state)) payload = it->second->response.trace_text;
           }
         }
         if (!found) {
-          QueueReply(ErrReplyLine(Status::NotFound(
-                         "no such job " + std::to_string(command.id))),
-                     /*close_after=*/false);
+          QueueReply(NoSuchJob(command.id), /*close_after=*/false);
           return;
         }
-        if (!finished) {
+        if (!Finished(state)) {
           QueueReply(ErrReplyLine(Status::Unavailable(
                          "job " + std::to_string(command.id) +
                          " is still " + JobStateName(state))),
@@ -665,12 +623,7 @@ class ConversionDaemon::EpollSession
         bool park = false;
         {
           std::lock_guard<std::mutex> lock(daemon_->jobs_mu_);
-          if (!daemon_->draining_) {
-            daemon_->draining_ = true;
-            daemon_->drains_->Increment();
-            DBPC_LOG(LogLevel::kInfo, "drain_started",
-                     LogField("pending", daemon_->pending_));
-          }
+          daemon_->BeginDrainLocked();
           if (daemon_->pending_ > 0) {
             daemon_->drain_waiters_.push_back(
                 ResultWaiter{shard_->reactor.get(), weak_from_this()});
@@ -715,17 +668,13 @@ class ConversionDaemon::EpollSession
     MarkUnparked();
     std::shared_ptr<Job> job = std::move(awaited_job_);
     awaited_job_.reset();
-    bool finished;
     JobState state;
     {
       std::lock_guard<std::mutex> lock(daemon_->jobs_mu_);
       state = job->state;
-      finished = state == JobState::kDone || state == JobState::kFailed;
     }
-    if (finished) {
-      QueueReply(DataReply(EncodeResponsePayload(job->response),
-                           ResponseFields(job->response)),
-                 /*close_after=*/false);
+    if (Finished(state)) {
+      QueueReply(ResultReply(job->response), /*close_after=*/false);
     } else {
       QueueReply(ErrReplyLine(Status::DeadlineExceeded(
                      "job " + std::to_string(job->id) + " still " +
@@ -737,7 +686,7 @@ class ConversionDaemon::EpollSession
     Pump();
   }
 
-  /// DRAIN grace deadline, mirroring Drain()'s timeout message.
+  /// DRAIN grace deadline, answered with Drain()'s timeout status.
   void OnDrainTimeout() {
     if (state_ != State::kAwaitDrain) return;
     MarkUnparked();
@@ -749,11 +698,7 @@ class ConversionDaemon::EpollSession
     if (pending == 0) {
       QueueReply(DrainedReply(), /*close_after=*/false);
     } else {
-      QueueReply(ErrReplyLine(Status::DeadlineExceeded(
-                     "drain grace of " +
-                     std::to_string(daemon_->options_.drain_grace_ms) +
-                     "ms elapsed with " + std::to_string(pending) +
-                     " jobs still pending")),
+      QueueReply(ErrReplyLine(daemon_->DrainTimedOut(pending)),
                  /*close_after=*/false);
     }
     Pump();
@@ -873,7 +818,6 @@ Result<JobId> ConversionDaemon::AdmitJob(ConversionRequest request,
     job->id = next_id_++;
     job->session_id = session_id;
     job->request = std::move(request);
-    job->admitted_at = std::chrono::steady_clock::now();
     jobs_[job->id] = job;
     ++pending_;
     ++admitted_;
@@ -881,22 +825,25 @@ Result<JobId> ConversionDaemon::AdmitJob(ConversionRequest request,
     // Submitted under jobs_mu_ so that once Drain() sets draining_ (same
     // lock) no further task can slip into the pool — Stop()'s pool Wait
     // then provably covers every admitted job.
-    service_->pool().Submit([this, job] { RunJob(job); });
+    auto admitted = RequestTimeline::Clock::now();
+    service_->pool().Submit([this, job, admitted] { RunJob(job, admitted); });
   }
   submits_admitted_->Increment();
   return job->id;
 }
 
-void ConversionDaemon::RunJob(std::shared_ptr<Job> job) {
+void ConversionDaemon::RunJob(std::shared_ptr<Job> job,
+                              RequestTimeline::Clock::time_point admitted) {
+  RequestTimeline timeline;
+  timeline.StampAt(Mark::kAdmitted, admitted);
   {
     std::lock_guard<std::mutex> lock(jobs_mu_);
     job->state = JobState::kRunning;
   }
   queue_depth_gauge_->Sub(1);
   inflight_gauge_->Add(1);
-  uint64_t queue_wait_us = ElapsedMicros(job->admitted_at);
-  queue_wait_us_->Record(queue_wait_us);
-  ConversionResponse response = service_->Convert(job->request, job->id);
+  ConversionResponse response =
+      service_->Convert(job->request, job->id, &timeline);
   // Nothing reads the request or the full PipelineOutcome once the job is
   // published; freeing them here keeps retained results small and keeps
   // their destruction out of EvictOldResultsLocked's jobs_mu_ section.
@@ -927,8 +874,9 @@ void ConversionDaemon::RunJob(std::shared_ptr<Job> job) {
   }
   inflight_gauge_->Sub(1);
   jobs_completed_counter_->Increment();
-  uint64_t total_us = ElapsedMicros(job->admitted_at);
-  request_us_->Record(total_us);
+  timeline.Stamp(Mark::kPublished);
+  RecordDurations(timeline, &metrics(), {kQueueWaitUs, kRequestUs});
+  uint64_t total_us = *timeline.Micros(Mark::kAdmitted, Mark::kPublished);
   if (options_.slow_request_ms > 0 &&
       total_us >= static_cast<uint64_t>(options_.slow_request_ms) * 1000) {
     // job->response is stable here: this thread is its only writer and it
@@ -936,7 +884,8 @@ void ConversionDaemon::RunJob(std::shared_ptr<Job> job) {
     DBPC_LOG(LogLevel::kWarn, "slow_request", LogField("job", job->id),
              LogField("session", job->session_id),
              LogField("program", job->response.program_name),
-             LogField("queue_wait_us", queue_wait_us),
+             LogField("queue_wait_us",
+                      *timeline.Micros(Mark::kAdmitted, Mark::kPickup)),
              LogField("convert_us", job->response.latency_us),
              LogField("total_us", total_us),
              LogField("outcome", JobStateName(job->state)),
@@ -967,26 +916,26 @@ void ConversionDaemon::EvictOldResultsLocked() {
   }
 }
 
+void ConversionDaemon::BeginDrainLocked() {
+  if (draining_) return;
+  draining_ = true;
+  drains_->Increment();
+  DBPC_LOG(LogLevel::kInfo, "drain_started", LogField("pending", pending_));
+}
+
+Status ConversionDaemon::DrainTimedOut(int pending) const {
+  return Status::DeadlineExceeded(
+      "drain grace of " + std::to_string(options_.drain_grace_ms) +
+      "ms elapsed with " + std::to_string(pending) + " jobs still pending");
+}
+
 Status ConversionDaemon::Drain() {
-  {
-    std::unique_lock<std::mutex> lock(jobs_mu_);
-    if (!draining_) {
-      draining_ = true;
-      drains_->Increment();
-      DBPC_LOG(LogLevel::kInfo, "drain_started",
-               LogField("pending", pending_));
-    }
-    bool drained = jobs_cv_.wait_for(
-        lock, std::chrono::milliseconds(options_.drain_grace_ms),
-        [this] { return pending_ == 0; });
-    if (!drained) {
-      return Status::DeadlineExceeded(
-          "drain grace of " + std::to_string(options_.drain_grace_ms) +
-          "ms elapsed with " + std::to_string(pending_) +
-          " jobs still pending");
-    }
-  }
-  return Status::OK();
+  std::unique_lock<std::mutex> lock(jobs_mu_);
+  BeginDrainLocked();
+  bool drained = jobs_cv_.wait_for(
+      lock, std::chrono::milliseconds(options_.drain_grace_ms),
+      [this] { return pending_ == 0; });
+  return drained ? Status::OK() : DrainTimedOut(pending_);
 }
 
 bool ConversionDaemon::draining() const {

@@ -16,6 +16,7 @@
 
 #include "api/types.h"
 #include "common/metrics.h"
+#include "common/timeline.h"
 #include "daemon/admin.h"
 #include "daemon/protocol.h"
 #include "daemon/reactor.h"
@@ -152,7 +153,6 @@ class ConversionDaemon {
     /// Published by RunJob without `outcome` (no reader needs the full
     /// PipelineOutcome, and retained jobs would keep it alive).
     ConversionResponse response;
-    std::chrono::steady_clock::time_point admitted_at;
   };
 
   /// One session: an explicit protocol state machine (read-command →
@@ -180,7 +180,6 @@ class ConversionDaemon {
 
   explicit ConversionDaemon(DaemonOptions options);
 
-  Status Listen();
   /// Starts the admin endpoint when options_.admin_port >= 0 (no-op
   /// otherwise). It rides shards_[0]'s reactor.
   Status StartAdmin();
@@ -190,7 +189,15 @@ class ConversionDaemon {
   void StartEpollSession(ReactorShard* shard, std::unique_ptr<SockBuffer> sock,
                          uint64_t session_id);
   Result<JobId> AdmitJob(ConversionRequest request, uint64_t session_id);
-  void RunJob(std::shared_ptr<Job> job);
+  /// Converts one admitted job on a pool worker. Its request timeline lives
+  /// in this frame, seeded with the admission mark: retained jobs carry none.
+  void RunJob(std::shared_ptr<Job> job,
+              RequestTimeline::Clock::time_point admitted);
+  /// Marks the daemon draining (first call only: counts daemon.drains and
+  /// logs drain_started). Caller holds jobs_mu_.
+  void BeginDrainLocked();
+  /// The status a drain that outlived drain_grace_ms answers with.
+  Status DrainTimedOut(int pending) const;
   /// Evicts completed results beyond max_retained_results. Caller holds
   /// jobs_mu_.
   void EvictOldResultsLocked();
@@ -251,8 +258,6 @@ class ConversionDaemon {
   Counter* protocol_errors_ = nullptr;
   Counter* jobs_completed_counter_ = nullptr;
   Counter* drains_ = nullptr;
-  Histogram* queue_wait_us_ = nullptr;
-  Histogram* request_us_ = nullptr;
   Gauge* queue_depth_gauge_ = nullptr;      ///< admitted, not yet running
   Gauge* inflight_gauge_ = nullptr;         ///< currently converting
   Gauge* active_sessions_gauge_ = nullptr;  ///< open protocol sessions

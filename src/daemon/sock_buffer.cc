@@ -1,5 +1,6 @@
 #include "daemon/sock_buffer.h"
 
+#include <arpa/inet.h>
 #include <errno.h>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -70,12 +71,83 @@ class BufferPool {
   std::vector<std::string> pool_;
 };
 
+bool ParseIpv4(const std::string& host, int port, struct sockaddr_in* addr) {
+  memset(addr, 0, sizeof(*addr));
+  addr->sin_family = AF_INET;
+  addr->sin_port = htons(static_cast<uint16_t>(port));
+  return ::inet_pton(AF_INET, host.c_str(), &addr->sin_addr) == 1;
+}
+
 }  // namespace
 
 void EnableTcpNoDelay(int fd) {
   int one = 1;
   // Fails harmlessly on AF_UNIX pairs (tests) — only TCP has Nagle.
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+Result<int> ConnectTcp(const std::string& host, int port, int timeout_ms) {
+  struct sockaddr_in addr;
+  if (!ParseIpv4(host, port, &addr)) {
+    return Status::InvalidArgument("cannot parse address \"" + host +
+                                   "\" (want IPv4 dotted)");
+  }
+  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  if (fd < 0) {
+    return Status::Internal(std::string("socket: ") + strerror(errno));
+  }
+  std::string peer = host + ":" + std::to_string(port);
+  int err = 0;
+  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    err = errno;
+    struct pollfd pfd = {fd, POLLOUT, 0};
+    if (err == EINPROGRESS && ::poll(&pfd, 1, timeout_ms) <= 0) {
+      ::close(fd);
+      return Status::DeadlineExceeded("connect " + peer + " timed out");
+    }
+    socklen_t len = sizeof(err);
+    if (err == EINPROGRESS) ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len);
+  }
+  if (err != 0) {
+    ::close(fd);
+    return Status::Unavailable("connect " + peer + ": " + strerror(err));
+  }
+  return fd;
+}
+
+Result<int> ListenTcp(const std::string& host, int port, int backlog,
+                      const std::string& role, int* bound_port) {
+  struct sockaddr_in addr;
+  if (!ParseIpv4(host, port, &addr)) {
+    return Status::InvalidArgument("cannot parse " + role + " address \"" +
+                                   host + "\" (want IPv4 dotted)");
+  }
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return Status::Internal(std::string("socket: ") + strerror(errno));
+  }
+  int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  socklen_t len = sizeof(addr);
+  Status status;
+  if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    status = Status::Unavailable("bind " + role + " " + host + ":" +
+                                 std::to_string(port) + ": " +
+                                 strerror(errno));
+  } else if (::listen(fd, backlog) != 0) {
+    status = Status::Internal(std::string("listen: ") + strerror(errno));
+  } else if (::getsockname(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                           &len) != 0) {
+    status = Status::Internal(std::string("getsockname: ") + strerror(errno));
+  }
+  if (!status.ok()) {
+    ::close(fd);
+    return status;
+  }
+  *bound_port = ntohs(addr.sin_port);
+  return fd;
 }
 
 SockBuffer::SockBuffer(int fd, Limits limits) : fd_(fd), limits_(limits) {

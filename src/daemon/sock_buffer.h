@@ -144,6 +144,17 @@ class SockBuffer {
 /// traffic must not wait out delayed ACKs between a reply's segments.
 void EnableTcpNoDelay(int fd);
 
+/// Connects a non-blocking TCP socket to `host` (IPv4 dotted) and `port`
+/// within `timeout_ms` (-1: as long as the kernel keeps trying) and returns
+/// its fd.
+Result<int> ConnectTcp(const std::string& host, int port, int timeout_ms);
+
+/// Binds a listening TCP socket to `host` (IPv4 dotted) and `port` (0 picks
+/// an ephemeral one) and returns its fd; `*bound_port` receives the actual
+/// port. `role` names the listener in errors ("listen", "admin").
+Result<int> ListenTcp(const std::string& host, int port, int backlog,
+                      const std::string& role, int* bound_port);
+
 }  // namespace dbpc
 
 #endif  // DBPC_DAEMON_SOCK_BUFFER_H_

@@ -503,24 +503,8 @@ Result<Predicate> ParseComparison(TokenCursor* cur) {
         std::move(field), negated ? CompareOp::kIsNotNull : CompareOp::kIsNull,
         Operand::Literal(Value::Null()));
   }
-  CompareOp op;
-  const Token& t = cur->Peek();
-  if (t.IsPunct("=")) {
-    op = CompareOp::kEq;
-  } else if (t.IsPunct("<>")) {
-    op = CompareOp::kNe;
-  } else if (t.IsPunct("<")) {
-    op = CompareOp::kLt;
-  } else if (t.IsPunct("<=")) {
-    op = CompareOp::kLe;
-  } else if (t.IsPunct(">")) {
-    op = CompareOp::kGt;
-  } else if (t.IsPunct(">=")) {
-    op = CompareOp::kGe;
-  } else {
-    return cur->ErrorHere("expected comparison operator");
-  }
-  cur->Next();
+  DBPC_ASSIGN_OR_RETURN(CompareOp op,
+                        ParseCompareOp(cur, "expected comparison operator"));
   DBPC_ASSIGN_OR_RETURN(Operand rhs, ParseOperand(cur));
   return Predicate::Compare(std::move(field), op, std::move(rhs));
 }
@@ -559,6 +543,19 @@ Result<Predicate> ParseOrExpr(TokenCursor* cur) {
 }
 
 }  // namespace
+
+Result<CompareOp> ParseCompareOp(TokenCursor* cur, const char* expected) {
+  static constexpr std::pair<const char*, CompareOp> kOps[] = {
+      {"=", CompareOp::kEq}, {"<>", CompareOp::kNe}, {"<", CompareOp::kLt},
+      {"<=", CompareOp::kLe}, {">", CompareOp::kGt}, {">=", CompareOp::kGe}};
+  for (const auto& [symbol, op] : kOps) {
+    if (cur->Peek().IsPunct(symbol)) {
+      cur->Next();
+      return op;
+    }
+  }
+  return cur->ErrorHere(expected);
+}
 
 Result<Predicate> ParsePredicate(TokenCursor* cur) { return ParseOrExpr(cur); }
 

@@ -118,6 +118,10 @@ Result<std::vector<RecordId>> EvaluateRetrieval(const Database& db,
 /// Exposed for reuse by the CPL parser.
 Result<Predicate> ParsePredicate(TokenCursor* cur);
 
+/// Consumes one of = <> < <= > >=; anything else is a parse error reading
+/// `expected`. Shared by the FIND, CPL and SQL condition parsers.
+Result<CompareOp> ParseCompareOp(TokenCursor* cur, const char* expected);
+
 /// Parses "FIND(TARGET: START, step, ...)" starting at the FIND keyword.
 Result<FindQuery> ParseFindQuery(TokenCursor* cur);
 

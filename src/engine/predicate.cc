@@ -143,22 +143,7 @@ Result<bool> Predicate::Evaluate(
       }
       std::optional<int> cmp = QueryCompare(lhs, rhs);
       if (!cmp.has_value()) return false;
-      switch (op_) {
-        case CompareOp::kEq:
-          return *cmp == 0;
-        case CompareOp::kNe:
-          return *cmp != 0;
-        case CompareOp::kLt:
-          return *cmp < 0;
-        case CompareOp::kLe:
-          return *cmp <= 0;
-        case CompareOp::kGt:
-          return *cmp > 0;
-        case CompareOp::kGe:
-          return *cmp >= 0;
-        default:
-          return Status::Internal("unexpected comparison op");
-      }
+      return CompareHolds(op_, *cmp);
     }
     case Kind::kAnd: {
       DBPC_ASSIGN_OR_RETURN(bool l, lhs_->Evaluate(get_field, host_env));

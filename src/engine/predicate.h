@@ -125,6 +125,27 @@ class Predicate {
 /// nullopt when either side is null.
 std::optional<int> QueryCompare(const Value& lhs, const Value& rhs);
 
+/// Whether a QueryCompare result satisfies an ordering operator (false for
+/// the null tests, which never compare).
+inline bool CompareHolds(CompareOp op, int cmp) {
+  switch (op) {
+    case CompareOp::kEq:
+      return cmp == 0;
+    case CompareOp::kNe:
+      return cmp != 0;
+    case CompareOp::kLt:
+      return cmp < 0;
+    case CompareOp::kLe:
+      return cmp <= 0;
+    case CompareOp::kGt:
+      return cmp > 0;
+    case CompareOp::kGe:
+      return cmp >= 0;
+    default:
+      return false;
+  }
+}
+
 /// The numeric interpretation a value gets inside QueryCompare: native
 /// numbers as-is, strings only when std::from_chars consumes them fully.
 std::optional<double> QueryNumeric(const Value& v);

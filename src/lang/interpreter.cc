@@ -127,22 +127,7 @@ Result<bool> Interpreter::EvalCond(const HostCond& cond) const {
       DBPC_ASSIGN_OR_RETURN(Value rhs, EvalExpr(cond.operands[1]));
       std::optional<int> cmp = QueryCompare(lhs, rhs);
       if (!cmp.has_value()) return false;
-      switch (cond.op) {
-        case CompareOp::kEq:
-          return *cmp == 0;
-        case CompareOp::kNe:
-          return *cmp != 0;
-        case CompareOp::kLt:
-          return *cmp < 0;
-        case CompareOp::kLe:
-          return *cmp <= 0;
-        case CompareOp::kGt:
-          return *cmp > 0;
-        case CompareOp::kGe:
-          return *cmp >= 0;
-        default:
-          return Status::Internal("unexpected comparison op");
-      }
+      return CompareHolds(cond.op, *cmp);
     }
     case HostCond::Kind::kAnd: {
       DBPC_ASSIGN_OR_RETURN(bool l, EvalCond(cond.children[0]));

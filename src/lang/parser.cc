@@ -85,24 +85,8 @@ Result<HostCond> ParseComparisonCond(TokenCursor* cur) {
     c.operands.push_back(std::move(lhs));
     return c;
   }
-  CompareOp op;
-  const Token& t = cur->Peek();
-  if (t.IsPunct("=")) {
-    op = CompareOp::kEq;
-  } else if (t.IsPunct("<>")) {
-    op = CompareOp::kNe;
-  } else if (t.IsPunct("<")) {
-    op = CompareOp::kLt;
-  } else if (t.IsPunct("<=")) {
-    op = CompareOp::kLe;
-  } else if (t.IsPunct(">")) {
-    op = CompareOp::kGt;
-  } else if (t.IsPunct(">=")) {
-    op = CompareOp::kGe;
-  } else {
-    return cur->ErrorHere("expected comparison operator");
-  }
-  cur->Next();
+  DBPC_ASSIGN_OR_RETURN(CompareOp op,
+                        ParseCompareOp(cur, "expected comparison operator"));
   DBPC_ASSIGN_OR_RETURN(HostExpr rhs, ParseExpr(cur));
   return HostCond::Compare(std::move(lhs), op, std::move(rhs));
 }

@@ -96,23 +96,8 @@ Result<WhereExpr> ParseWhereComparison(TokenCursor* cur) {
     return e;
   }
   e.kind = WhereExpr::Kind::kCompare;
-  const Token& t = cur->Peek();
-  if (t.IsPunct("=")) {
-    e.op = CompareOp::kEq;
-  } else if (t.IsPunct("<>")) {
-    e.op = CompareOp::kNe;
-  } else if (t.IsPunct("<")) {
-    e.op = CompareOp::kLt;
-  } else if (t.IsPunct("<=")) {
-    e.op = CompareOp::kLe;
-  } else if (t.IsPunct(">")) {
-    e.op = CompareOp::kGt;
-  } else if (t.IsPunct(">=")) {
-    e.op = CompareOp::kGe;
-  } else {
-    return cur->ErrorHere("expected comparison operator or IN");
-  }
-  cur->Next();
+  DBPC_ASSIGN_OR_RETURN(
+      e.op, ParseCompareOp(cur, "expected comparison operator or IN"));
   DBPC_ASSIGN_OR_RETURN(e.rhs, ParseSqlOperand(cur));
   return e;
 }

@@ -1,7 +1,6 @@
 #include "service/service.h"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <utility>
 
@@ -13,21 +12,14 @@ namespace dbpc {
 
 namespace {
 
-uint64_t ElapsedMicros(std::chrono::steady_clock::time_point start) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-}
-
 /// The refused outcome a program degrades to when every attempt failed.
-PipelineOutcome DegradedOutcome(const Program& program,
+PipelineOutcome DegradedOutcome(const std::string& program_name,
                                 const std::string& diagnostic) {
   PipelineOutcome outcome;
   outcome.classification = Convertibility::kNotConvertible;
   outcome.accepted = false;
   outcome.conversion.outcome = Convertibility::kNotConvertible;
-  outcome.conversion.converted.name = program.name;
+  outcome.conversion.converted.name = program_name;
   outcome.conversion.notes.push_back("conversion degraded to refused: " +
                                      diagnostic);
   return outcome;
@@ -116,7 +108,9 @@ void ConversionService::InvalidateCache() {
 }
 
 PipelineOutcome ConversionService::RunOne(const Program& program,
-                                          uint64_t sequence, int deadline_ms,
+                                          uint64_t sequence,
+                                          RequestTimeline* timeline,
+                                          int deadline_ms,
                                           SpanCollector* span_override,
                                           std::string* generated) {
   const int effective_deadline_ms =
@@ -140,13 +134,13 @@ PipelineOutcome ConversionService::RunOne(const Program& program,
         root.SetAttribute("attempt", std::to_string(attempt + 1));
       }
     }
-    auto start = std::chrono::steady_clock::now();
+    timeline->Stamp(Mark::kAttemptStart);
     Result<PipelineOutcome> result = [&]() -> Result<PipelineOutcome> {
       try {
         if (options_.pipeline_override) {
           return options_.pipeline_override(program);
         }
-        return supervisor_->ConvertProgram(program, root);
+        return supervisor_->ConvertProgram(program, root, timeline);
       } catch (const std::exception& e) {
         metrics_.GetCounter("service.exceptions")->Increment();
         return Status::Internal(std::string("conversion threw: ") + e.what());
@@ -155,23 +149,24 @@ PipelineOutcome ConversionService::RunOne(const Program& program,
         return Status::Internal("conversion threw a non-standard exception");
       }
     }();
-    uint64_t elapsed_us = ElapsedMicros(start);
+    timeline->Stamp(Mark::kAttemptEnd);
+    uint64_t elapsed_us =
+        *timeline->Micros(Mark::kAttemptStart, Mark::kAttemptEnd);
     bool over_deadline = deadline_us > 0 && elapsed_us > deadline_us;
     if (result.ok() && !over_deadline) {
-      metrics_.GetHistogram("program.total_us")->Record(elapsed_us);
       PipelineOutcome outcome = std::move(result).value();
       if (outcome.accepted) {
         // The Program Generator stage: emit target source once so its cost
         // is part of the pipeline metrics.
         SpanContext gen_span = root.StartChild("program_generator");
-        Histogram::Timer timer(metrics_.GetHistogram("stage.generate_us"));
         std::string text = GenerateCplSource(outcome.conversion.converted);
-        timer.Stop();
+        timeline->Stamp(Mark::kGenerated);
         gen_span.AddCounter("bytes", text.size());
         gen_span.End();
         metrics_.GetCounter("generator.bytes")->Increment(text.size());
         if (generated != nullptr) *generated = std::move(text);
       }
+      RecordDurations(*timeline, &metrics_, {kProgramTotalUs, kGenerateUs});
       root.End();
       return outcome;
     }
@@ -192,56 +187,59 @@ PipelineOutcome ConversionService::RunOne(const Program& program,
                        LogField("attempts", attempts),
                        LogField("diagnostic", diagnostic));
   return DegradedOutcome(
-      program, diagnostic + " after " + std::to_string(attempts) +
+      program.name, diagnostic + " after " + std::to_string(attempts) +
                    (attempts == 1 ? " attempt" : " attempts"));
 }
 
+Result<Program> ConversionService::ResolveProgram(
+    const ConversionRequest& request) {
+  Result<Program> program = [&request]() -> Result<Program> {
+    DBPC_RETURN_IF_ERROR(request.Validate());
+    if (request.program.has_value()) return *request.program;
+    return ParseProgram(request.source);
+  }();
+  if (!program.ok()) {
+    metrics_.GetCounter("service.requests_invalid")->Increment();
+    return program;
+  }
+  if (!request.name.empty()) program->name = request.name;
+  return program;
+}
+
 ConversionResponse ConversionService::Convert(const ConversionRequest& request,
-                                              JobId id) {
+                                              JobId id,
+                                              RequestTimeline* timeline) {
+  RequestTimeline own_timeline;
+  if (timeline == nullptr) timeline = &own_timeline;
+  timeline->Stamp(Mark::kPickup);
   ConversionResponse response;
   response.id = id;
   response.program_name = request.name;
-  auto start = std::chrono::steady_clock::now();
-  Status valid = request.Validate();
-  if (!valid.ok()) {
-    metrics_.GetCounter("service.requests_invalid")->Increment();
+  Result<Program> program = ResolveProgram(request);
+  if (!program.ok()) {
     response.state = JobState::kFailed;
-    response.status = std::move(valid);
-    return response;
-  }
-  Program program;
-  if (request.program.has_value()) {
-    program = *request.program;
+    response.status = program.status();
   } else {
-    Result<Program> parsed = ParseProgram(request.source);
-    if (!parsed.ok()) {
-      metrics_.GetCounter("service.requests_invalid")->Increment();
-      response.state = JobState::kFailed;
-      response.status = parsed.status();
-      response.latency_us = ElapsedMicros(start);
-      return response;
-    }
-    program = std::move(parsed).value();
+    // Per-request tracing uses a collector local to this job so concurrent
+    // jobs never share span state; the job id is the deterministic
+    // sequence.
+    SpanCollector local_spans;
+    std::string generated;
+    response.outcome =
+        RunOne(*program, id == 0 ? 1 : id, timeline, request.deadline_ms,
+               request.trace ? &local_spans : nullptr, &generated);
+    response.state = JobState::kDone;
+    response.accepted = response.outcome.accepted;
+    response.classification = response.outcome.classification;
+    response.program_name = program->name;
+    response.converted_source = std::move(generated);
+    response.notes = response.outcome.conversion.notes;
+    if (request.trace) response.trace_text = local_spans.ToText();
+    metrics_.GetCounter("service.requests")->Increment();
+    if (conversions_rate_ != nullptr) conversions_rate_->Tick();
   }
-  if (!request.name.empty()) program.name = request.name;
-
-  // Per-request tracing uses a collector local to this job so concurrent
-  // jobs never share span state; the job id is the deterministic sequence.
-  SpanCollector local_spans;
-  std::string generated;
-  response.outcome =
-      RunOne(program, id == 0 ? 1 : id, request.deadline_ms,
-             request.trace ? &local_spans : nullptr, &generated);
-  response.state = JobState::kDone;
-  response.accepted = response.outcome.accepted;
-  response.classification = response.outcome.classification;
-  response.program_name = program.name;
-  response.converted_source = std::move(generated);
-  response.notes = response.outcome.conversion.notes;
-  if (request.trace) response.trace_text = local_spans.ToText();
-  response.latency_us = ElapsedMicros(start);
-  metrics_.GetCounter("service.requests")->Increment();
-  if (conversions_rate_ != nullptr) conversions_rate_->Tick();
+  timeline->Stamp(Mark::kResponded);
+  response.latency_us = *timeline->Micros(Mark::kPickup, Mark::kResponded);
   return response;
 }
 
@@ -255,28 +253,13 @@ Result<SystemConversionReport> ConversionService::ConvertSystem(
   std::vector<PipelineOutcome> slots(requests.size());
   auto run_request = [this](const ConversionRequest& request,
                             uint64_t sequence) -> PipelineOutcome {
-    Status valid = request.Validate();
-    if (!valid.ok()) {
-      metrics_.GetCounter("service.requests_invalid")->Increment();
-      Program named;
-      named.name = request.name.empty() ? "request" : request.name;
-      return DegradedOutcome(named, valid.ToString());
+    Result<Program> program = ResolveProgram(request);
+    if (!program.ok()) {
+      return DegradedOutcome(request.name.empty() ? "request" : request.name,
+                             program.status().ToString());
     }
-    if (request.program.has_value()) {
-      Program program = *request.program;
-      if (!request.name.empty()) program.name = request.name;
-      return RunOne(program, sequence, request.deadline_ms);
-    }
-    Result<Program> parsed = ParseProgram(request.source);
-    if (!parsed.ok()) {
-      metrics_.GetCounter("service.requests_invalid")->Increment();
-      Program named;
-      named.name = request.name.empty() ? "request" : request.name;
-      return DegradedOutcome(named, parsed.status().ToString());
-    }
-    Program program = std::move(parsed).value();
-    if (!request.name.empty()) program.name = request.name;
-    return RunOne(program, sequence, request.deadline_ms);
+    RequestTimeline timeline;
+    return RunOne(*program, sequence, &timeline, request.deadline_ms);
   };
   if (options_.jobs == 1) {
     // Run on the caller's thread: jobs=1 is the reference serial mode.
@@ -293,27 +276,11 @@ Result<SystemConversionReport> ConversionService::ConvertSystem(
   }
 
   SystemConversionReport report;
-  for (PipelineOutcome& outcome : slots) {
-    switch (outcome.classification) {
-      case Convertibility::kAutomatic:
-        ++report.automatic;
-        metrics_.GetCounter("programs.automatic")->Increment();
-        break;
-      case Convertibility::kNeedsAnalyst:
-        ++report.needs_analyst;
-        metrics_.GetCounter("programs.needs_analyst")->Increment();
-        break;
-      case Convertibility::kNotConvertible:
-        ++report.refused;
-        metrics_.GetCounter("programs.refused")->Increment();
-        break;
-    }
-    if (outcome.accepted) {
-      ++report.accepted;
-      metrics_.GetCounter("programs.accepted")->Increment();
-    }
-    report.outcomes.push_back(std::move(outcome));
-  }
+  for (PipelineOutcome& outcome : slots) report.Add(std::move(outcome));
+  metrics_.AddCounts({{"programs.automatic", report.automatic},
+                      {"programs.needs_analyst", report.needs_analyst},
+                      {"programs.refused", report.refused},
+                      {"programs.accepted", report.accepted}});
   metrics_.GetCounter("service.batches")->Increment();
   if (conversions_rate_ != nullptr) {
     conversions_rate_->Tick(static_cast<uint64_t>(requests.size()));

@@ -8,6 +8,7 @@
 
 #include "api/types.h"
 #include "common/metrics.h"
+#include "common/timeline.h"
 #include "service/worker_pool.h"
 #include "supervisor/supervisor.h"
 
@@ -82,8 +83,10 @@ class ConversionService {
   /// failures degrade to refused but still JobState::kDone). Thread-safe:
   /// the daemon's workers call this concurrently. `id` is echoed into the
   /// response and doubles as the deterministic span sequence when the
-  /// request asks for tracing.
-  ConversionResponse Convert(const ConversionRequest& request, JobId id = 1);
+  /// request asks for tracing. A non-null `timeline` (the daemon's, seeded
+  /// with the admission mark) receives every mark from kPickup on.
+  ConversionResponse Convert(const ConversionRequest& request, JobId id = 1,
+                             RequestTimeline* timeline = nullptr);
 
   /// Converts every request of an application system on the worker pool.
   /// Never fails for per-request reasons (parse errors fail that request's
@@ -125,15 +128,21 @@ class ConversionService {
  private:
   ConversionService(ServiceOptions options);
 
+  /// Validates the request and parses (or copies) its program, applying
+  /// the name override; counts service.requests_invalid on failure.
+  Result<Program> ResolveProgram(const ConversionRequest& request);
+
   /// Runs one program through the pipeline with retry + degradation;
   /// never throws. `sequence` is the program's 1-based batch index — the
-  /// deterministic sort key for its span tree when tracing is on.
+  /// deterministic sort key for its span tree when tracing is on. Each
+  /// attempt re-stamps `timeline` from kAttemptStart.
   /// `deadline_ms` overrides ServiceOptions::deadline_ms when > 0; `spans`
   /// overrides the supervisor's collector (per-request tracing) when
   /// non-null. When the conversion is accepted, `generated` (if non-null)
   /// receives the generated CPL source so callers don't regenerate it.
   PipelineOutcome RunOne(const Program& program, uint64_t sequence,
-                         int deadline_ms = 0, SpanCollector* spans = nullptr,
+                         RequestTimeline* timeline, int deadline_ms = 0,
+                         SpanCollector* spans = nullptr,
                          std::string* generated = nullptr);
 
   ServiceOptions options_;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <optional>
 
 #include "common/log.h"
 #include "convert/provenance.h"
@@ -93,8 +92,11 @@ std::string ExplainCacheLine(const PipelineOutcome& outcome) {
 }
 
 Result<PipelineOutcome> ConversionSupervisor::ConvertProgram(
-    const Program& program, SpanContext span) const {
+    const Program& program, SpanContext span,
+    RequestTimeline* timeline) const {
   MetricsRegistry* metrics = options_.metrics;
+  RequestTimeline own_timeline;
+  if (timeline == nullptr) timeline = &own_timeline;
 
   // The conversion memo. Traced conversions bypass it: a hit skips the
   // pipeline stages, so serving one under a collector would leave the span
@@ -165,7 +167,9 @@ Result<PipelineOutcome> ConversionSupervisor::ConvertProgram(
   }
 
   PipelineOutcome outcome;
-  DBPC_ASSIGN_OR_RETURN(outcome.conversion, converter_.Convert(program, span));
+  DBPC_ASSIGN_OR_RETURN(outcome.conversion,
+                        converter_.Convert(program, span, timeline));
+  RecordDurations(*timeline, metrics, {kAnalyzeUs, kConvertUs});
   outcome.classification = outcome.conversion.outcome;
   auto finish = [&]() {
     if (span.enabled()) {
@@ -200,12 +204,6 @@ Result<PipelineOutcome> ConversionSupervisor::ConvertProgram(
     }
   };
 
-  if (metrics != nullptr) {
-    metrics->GetHistogram("stage.analyze_us")
-        ->Record(outcome.conversion.analyze_micros);
-    metrics->GetHistogram("stage.convert_us")
-        ->Record(outcome.conversion.convert_micros);
-  }
   const bool consult_analyst =
       options_.mode != AnalystMode::kStrict && options_.analyst != nullptr;
 
@@ -264,49 +262,49 @@ Result<PipelineOutcome> ConversionSupervisor::ConvertProgram(
 
   if (outcome.accepted && options_.run_optimizer) {
     SpanContext opt_span = span.StartChild("optimizer");
-    std::optional<Histogram::Timer> timer;
-    if (metrics != nullptr) {
-      timer.emplace(metrics->GetHistogram("stage.optimize_us"));
-    }
+    timeline->Stamp(Mark::kOptimizeStart);
     Program before = outcome.conversion.converted;
     Status opt_status = OptimizeProgram(converter_.target_schema(),
                                         options_.statistics,
                                         &outcome.conversion.converted,
                                         &outcome.optimizer_stats);
-    if (!opt_status.ok()) {
-      opt_span.End();
-      finish();
-      return opt_status;
-    }
-    // Statements the optimizer rewrote are re-tagged as its work; their
-    // source ids survive from the converter's stamps.
-    std::vector<StampedRewrite> stamped = StampRewriteStep(
-        before, &outcome.conversion.converted, "optimizer", "optimize");
-    const OptimizerStats& os = outcome.optimizer_stats;
-    if (opt_span.enabled()) {
-      opt_span.AddCounter("predicates_pushed",
-                          static_cast<uint64_t>(os.predicates_pushed));
-      opt_span.AddCounter("sorts_removed",
-                          static_cast<uint64_t>(os.sorts_removed));
-      opt_span.AddCounter("plans_costed",
-                          static_cast<uint64_t>(os.plans_costed));
-      opt_span.AddCounter("rewrites", stamped.size());
-      for (const PlanChoice& pc : os.plan_choices) {
-        SpanContext choice_span = opt_span.StartChild("plan_choice");
-        choice_span.SetAttribute("original", pc.original);
-        choice_span.SetAttribute("chosen", pc.chosen);
-        choice_span.AddCounter("candidates", pc.candidates.size());
-        choice_span.End();
-      }
-      for (StampedRewrite& r : stamped) {
-        SpanContext rewrite_span = opt_span.StartChild("rewrite");
-        rewrite_span.SetAttribute("rule", std::move(r.rule));
-        rewrite_span.SetAttribute("src", std::to_string(r.source_stmt_id));
-        rewrite_span.SetAttribute("stmt", std::move(r.head));
-        rewrite_span.End();
+    if (opt_status.ok()) {
+      // Statements the optimizer rewrote are re-tagged as its work; their
+      // source ids survive from the converter's stamps.
+      std::vector<StampedRewrite> stamped = StampRewriteStep(
+          before, &outcome.conversion.converted, "optimizer", "optimize");
+      const OptimizerStats& os = outcome.optimizer_stats;
+      if (opt_span.enabled()) {
+        opt_span.AddCounter("predicates_pushed",
+                            static_cast<uint64_t>(os.predicates_pushed));
+        opt_span.AddCounter("sorts_removed",
+                            static_cast<uint64_t>(os.sorts_removed));
+        opt_span.AddCounter("plans_costed",
+                            static_cast<uint64_t>(os.plans_costed));
+        opt_span.AddCounter("rewrites", stamped.size());
+        for (const PlanChoice& pc : os.plan_choices) {
+          SpanContext choice_span = opt_span.StartChild("plan_choice");
+          choice_span.SetAttribute("original", pc.original);
+          choice_span.SetAttribute("chosen", pc.chosen);
+          choice_span.AddCounter("candidates", pc.candidates.size());
+          choice_span.End();
+        }
+        for (StampedRewrite& r : stamped) {
+          SpanContext rewrite_span = opt_span.StartChild("rewrite");
+          rewrite_span.SetAttribute("rule", std::move(r.rule));
+          rewrite_span.SetAttribute("src", std::to_string(r.source_stmt_id));
+          rewrite_span.SetAttribute("stmt", std::move(r.head));
+          rewrite_span.End();
+        }
       }
     }
     opt_span.End();
+    timeline->Stamp(Mark::kOptimizeEnd);
+    RecordDurations(*timeline, metrics, {kOptimizeUs});
+    if (!opt_status.ok()) {
+      finish();
+      return opt_status;
+    }
   }
   memoize(outcome);
   RecordOutcomeMetrics(outcome);
@@ -319,37 +317,34 @@ Result<PipelineOutcome> ConversionSupervisor::ConvertProgram(
 // attempt's outcome is final.
 void ConversionSupervisor::RecordOutcomeMetrics(
     const PipelineOutcome& outcome) const {
-  MetricsRegistry* metrics = options_.metrics;
-  if (metrics == nullptr) return;
-  if (!outcome.analyst_log.empty()) {
-    metrics->GetCounter("analyst.questions")
-        ->Increment(outcome.analyst_log.size());
+  if (options_.metrics == nullptr) return;
+  const OptimizerStats& os = outcome.optimizer_stats;
+  options_.metrics->AddCounts(
+      {{"analyst.questions", static_cast<int64_t>(outcome.analyst_log.size())},
+       {"optimizer.predicates_pushed", os.predicates_pushed},
+       {"optimizer.sorts_removed", os.sorts_removed},
+       {"optimizer.plans_costed", os.plans_costed},
+       {"optimizer.plans_rerouted", os.plans_rerouted},
+       // Only whole operations: an estimated saving under one is not one.
+       {"optimizer.est_ops_saved",
+        os.estimated_ops_saved >= 1.0 ? std::llround(os.estimated_ops_saved)
+                                      : 0}});
+}
+
+void SystemConversionReport::Add(PipelineOutcome outcome) {
+  switch (outcome.classification) {
+    case Convertibility::kAutomatic:
+      ++automatic;
+      break;
+    case Convertibility::kNeedsAnalyst:
+      ++needs_analyst;
+      break;
+    case Convertibility::kNotConvertible:
+      ++refused;
+      break;
   }
-  if (outcome.optimizer_stats.predicates_pushed > 0) {
-    metrics->GetCounter("optimizer.predicates_pushed")
-        ->Increment(
-            static_cast<uint64_t>(outcome.optimizer_stats.predicates_pushed));
-  }
-  if (outcome.optimizer_stats.sorts_removed > 0) {
-    metrics->GetCounter("optimizer.sorts_removed")
-        ->Increment(
-            static_cast<uint64_t>(outcome.optimizer_stats.sorts_removed));
-  }
-  if (outcome.optimizer_stats.plans_costed > 0) {
-    metrics->GetCounter("optimizer.plans_costed")
-        ->Increment(
-            static_cast<uint64_t>(outcome.optimizer_stats.plans_costed));
-  }
-  if (outcome.optimizer_stats.plans_rerouted > 0) {
-    metrics->GetCounter("optimizer.plans_rerouted")
-        ->Increment(
-            static_cast<uint64_t>(outcome.optimizer_stats.plans_rerouted));
-  }
-  if (outcome.optimizer_stats.estimated_ops_saved >= 1.0) {
-    metrics->GetCounter("optimizer.est_ops_saved")
-        ->Increment(static_cast<uint64_t>(
-            std::llround(outcome.optimizer_stats.estimated_ops_saved)));
-  }
+  if (outcome.accepted) ++accepted;
+  outcomes.push_back(std::move(outcome));
 }
 
 std::string SystemConversionReport::ToText() const {
@@ -385,19 +380,7 @@ Result<SystemConversionReport> ConversionSupervisor::ConvertSystem(
   SystemConversionReport report;
   for (const Program& program : programs) {
     DBPC_ASSIGN_OR_RETURN(PipelineOutcome outcome, ConvertProgram(program));
-    switch (outcome.classification) {
-      case Convertibility::kAutomatic:
-        ++report.automatic;
-        break;
-      case Convertibility::kNeedsAnalyst:
-        ++report.needs_analyst;
-        break;
-      case Convertibility::kNotConvertible:
-        ++report.refused;
-        break;
-    }
-    if (outcome.accepted) ++report.accepted;
-    report.outcomes.push_back(std::move(outcome));
+    report.Add(std::move(outcome));
   }
   return report;
 }

@@ -7,6 +7,7 @@
 
 #include "common/metrics.h"
 #include "common/span.h"
+#include "common/timeline.h"
 #include "convert/converter.h"
 #include "convert/template_cache.h"
 #include "engine/database.h"
@@ -129,6 +130,9 @@ struct SystemConversionReport {
     return accepted == static_cast<int>(outcomes.size());
   }
 
+  /// Appends one program's outcome and tallies its bucket.
+  void Add(PipelineOutcome outcome);
+
   /// Analyst-facing text report: per-program classification, notes and
   /// questions, plus the summary line.
   std::string ToText() const;
@@ -148,9 +152,11 @@ class ConversionSupervisor {
   /// Converts one program through the full pipeline. With an enabled
   /// `span` the stage spans become its children; otherwise, when
   /// SupervisorOptions::spans is set, the call opens (and closes) its own
-  /// root span in that collector.
-  Result<PipelineOutcome> ConvertProgram(const Program& program,
-                                         SpanContext span = {}) const;
+  /// root span in that collector. A non-null `timeline` receives the
+  /// stage marks the stage.*_us histograms are recorded from.
+  Result<PipelineOutcome> ConvertProgram(
+      const Program& program, SpanContext span = {},
+      RequestTimeline* timeline = nullptr) const;
 
   /// Converts every program of an application system and tallies the
   /// outcome buckets.

@@ -97,16 +97,6 @@ TEST(HistogramTest, PercentileSpreadsEvenlyAcrossOneBucket) {
   EXPECT_EQ(p75, 448u);
 }
 
-TEST(HistogramTest, TimerRecordsOneSample) {
-  Histogram h;
-  { Histogram::Timer timer(&h); }
-  EXPECT_EQ(h.Count(), 1u);
-  Histogram::Timer timer(&h);
-  timer.Stop();
-  timer.Stop();  // idempotent
-  EXPECT_EQ(h.Count(), 2u);
-}
-
 TEST(MetricsRegistryTest, NamesAreStableAndDistinct) {
   MetricsRegistry registry;
   Counter* a = registry.GetCounter("a");

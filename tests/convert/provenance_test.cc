@@ -4,21 +4,12 @@
 
 #include "convert/converter.h"
 #include "lang/parser.h"
-#include "restructure/plan_parser.h"
 #include "testing/fixtures.h"
 
 namespace dbpc {
 namespace {
 
-RestructuringPlan Figure44Plan() {
-  return std::move(ParsePlan(R"(
-RESTRUCTURE PLAN FIGURE-4-4.
-  INTRODUCE RECORD DEPT BETWEEN DIV-EMP GROUPING BY DEPT-NAME
-      AS DIV-DEPT AND DEPT-EMP.
-END PLAN.
-)"))
-      .value();
-}
+using testing::Figure44Plan;
 
 constexpr const char* kSalesReport = R"(
 PROGRAM SALES-RPT.

@@ -12,7 +12,6 @@
 #include "corpus/corpus.h"
 #include "generate/generator.h"
 #include "optimize/stats.h"
-#include "restructure/plan_parser.h"
 #include "service/service.h"
 #include "supervisor/supervisor.h"
 #include "testing/fixtures.h"
@@ -20,15 +19,7 @@
 namespace dbpc {
 namespace {
 
-RestructuringPlan Figure44Plan() {
-  return std::move(ParsePlan(R"(
-RESTRUCTURE PLAN FIGURE-4-4.
-  INTRODUCE RECORD DEPT BETWEEN DIV-EMP GROUPING BY DEPT-NAME
-      AS DIV-DEPT AND DEPT-EMP.
-END PLAN.
-)"))
-      .value();
-}
+using testing::Figure44Plan;
 
 Schema CompanySchema() {
   return testing::MakeDatabase(testing::CompanyDdl()).schema();

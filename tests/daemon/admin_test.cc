@@ -14,8 +14,7 @@
 #include "common/metrics.h"
 #include "daemon/client.h"
 #include "daemon/daemon.h"
-#include "restructure/plan_parser.h"
-#include "testing/fixtures.h"
+#include "testing/daemon_fixture.h"
 
 namespace dbpc {
 namespace {
@@ -250,55 +249,16 @@ TEST(AdminServerTest, ServesHttpOverARealSocket) {
 
 // --- Daemon-integrated admin plane ---
 
-const char* kSeniorsCpl = R"(PROGRAM SENIORS.
-  FOR EACH E IN FIND(EMP: SYSTEM, ALL-DIV, DIV, DIV-EMP, EMP(AGE > 30)) DO
-    GET EMP-NAME OF E INTO N.
-    DISPLAY N.
-  END-FOR.
-END PROGRAM.
-)";
-
-RestructuringPlan Figure44Plan() {
-  return std::move(ParsePlan(R"(
-RESTRUCTURE PLAN FIGURE-4-4.
-  INTRODUCE RECORD DEPT BETWEEN DIV-EMP GROUPING BY DEPT-NAME
-      AS DIV-DEPT AND DEPT-EMP.
-END PLAN.
-)"))
-      .value();
-}
+using testing::kSeniorsCpl;
 
 DaemonOptions TestOptions() {
-  DaemonOptions options;
-  options.port = 0;
+  DaemonOptions options = testing::TestOptions();
   options.admin_port = 0;  // ephemeral admin endpoint on every fixture
-  options.read_timeout_ms = 2000;
-  options.write_timeout_ms = 2000;
-  options.result_wait_ms = 5000;
-  options.drain_grace_ms = 10000;
-  options.service.jobs = 2;
-  options.service.supervisor.analyst = ApproveAllAnalyst();
   return options;
 }
 
-struct Fixture {
-  RestructuringPlan plan = Figure44Plan();
-  std::unique_ptr<ConversionDaemon> daemon;
-
-  explicit Fixture(DaemonOptions options) {
-    Schema schema = testing::MakeDatabase(testing::CompanyDdl()).schema();
-    Result<std::unique_ptr<ConversionDaemon>> started =
-        ConversionDaemon::Start(schema, plan.View(), std::move(options));
-    EXPECT_TRUE(started.ok()) << started.status();
-    daemon = std::move(started).value();
-  }
-
-  std::unique_ptr<DaemonClient> Connect() {
-    Result<std::unique_ptr<DaemonClient>> client =
-        DaemonClient::Connect("127.0.0.1", daemon->port());
-    EXPECT_TRUE(client.ok()) << client.status();
-    return std::move(client).value();
-  }
+struct Fixture : testing::DaemonFixture {
+  using DaemonFixture::DaemonFixture;
 
   Result<HttpResponse> Scrape(const std::string& path) {
     return HttpGet("127.0.0.1", daemon->admin_port(), path);
@@ -421,6 +381,8 @@ TEST(DaemonAdminTest, SlowRequestLogCarriesTheTimingBreakdown) {
   };
   GlobalLogger().Configure(capture);
 
+  uint64_t request_us_count = 0;
+  uint64_t request_us_sum = 0;
   {
     DaemonOptions options = TestOptions();
     options.slow_request_ms = 1;
@@ -438,7 +400,12 @@ TEST(DaemonAdminTest, SlowRequestLogCarriesTheTimingBreakdown) {
     request.source = kSeniorsCpl;
     Result<ConversionResponse> response = client->Convert(request);
     ASSERT_TRUE(response.ok()) << response.status();
-  }  // daemon stopped: every log line is captured by now
+    fixture.daemon->Stop();  // every log line and sample is in by now
+    Histogram* request_us =
+        fixture.daemon->metrics().GetHistogram("daemon.request_us");
+    request_us_count = request_us->Count();
+    request_us_sum = request_us->SumMicros();
+  }
 
   GlobalLogger().Configure({LogLevel::kInfo, false, nullptr});
 
@@ -457,6 +424,23 @@ TEST(DaemonAdminTest, SlowRequestLogCarriesTheTimingBreakdown) {
     EXPECT_NE(slow.find(field), std::string::npos)
         << "missing " << field << " in: " << slow;
   }
+
+  // All three durations come from one request timeline: the queue wait and
+  // the conversion fit inside the total, and the total is the one
+  // daemon.request_us sample.
+  auto field_value = [&slow](const std::string& key) -> uint64_t {
+    size_t at = slow.find(" " + key + "=");  // present: checked above
+    return at == std::string::npos
+               ? 0
+               : std::stoull(slow.substr(at + key.size() + 2));
+  };
+  uint64_t queue_wait_us = field_value("queue_wait_us");
+  uint64_t convert_us = field_value("convert_us");
+  uint64_t total_us = field_value("total_us");
+  EXPECT_GE(convert_us, 5000u);  // the pipeline slept 5ms
+  EXPECT_LE(queue_wait_us + convert_us, total_us) << slow;
+  EXPECT_EQ(request_us_count, 1u);
+  EXPECT_EQ(request_us_sum, total_us) << slow;
 }
 
 }  // namespace

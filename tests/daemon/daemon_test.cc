@@ -12,62 +12,14 @@
 
 #include "daemon/client.h"
 #include "restructure/plan_parser.h"
-#include "testing/fixtures.h"
+#include "testing/daemon_fixture.h"
 
 namespace dbpc {
 namespace {
 
-const char* kSeniorsCpl = R"(PROGRAM SENIORS.
-  FOR EACH E IN FIND(EMP: SYSTEM, ALL-DIV, DIV, DIV-EMP, EMP(AGE > 30)) DO
-    GET EMP-NAME OF E INTO N.
-    DISPLAY N.
-  END-FOR.
-END PROGRAM.
-)";
-
-RestructuringPlan Figure44Plan() {
-  return std::move(ParsePlan(R"(
-RESTRUCTURE PLAN FIGURE-4-4.
-  INTRODUCE RECORD DEPT BETWEEN DIV-EMP GROUPING BY DEPT-NAME
-      AS DIV-DEPT AND DEPT-EMP.
-END PLAN.
-)"))
-      .value();
-}
-
-DaemonOptions TestOptions() {
-  DaemonOptions options;
-  options.port = 0;
-  options.read_timeout_ms = 2000;
-  options.write_timeout_ms = 2000;
-  options.result_wait_ms = 5000;
-  options.drain_grace_ms = 10000;
-  options.service.jobs = 2;
-  options.service.supervisor.analyst = ApproveAllAnalyst();
-  return options;
-}
-
-/// Daemon + plan kept alive together (the plan's transformations must
-/// outlive the daemon).
-struct Fixture {
-  RestructuringPlan plan = Figure44Plan();
-  std::unique_ptr<ConversionDaemon> daemon;
-
-  explicit Fixture(DaemonOptions options) {
-    Schema schema = testing::MakeDatabase(testing::CompanyDdl()).schema();
-    Result<std::unique_ptr<ConversionDaemon>> started =
-        ConversionDaemon::Start(schema, plan.View(), std::move(options));
-    EXPECT_TRUE(started.ok()) << started.status();
-    daemon = std::move(started).value();
-  }
-
-  std::unique_ptr<DaemonClient> Connect() {
-    Result<std::unique_ptr<DaemonClient>> client =
-        DaemonClient::Connect("127.0.0.1", daemon->port());
-    EXPECT_TRUE(client.ok()) << client.status();
-    return std::move(client).value();
-  }
-};
+using Fixture = testing::DaemonFixture;
+using testing::kSeniorsCpl;
+using testing::TestOptions;
 
 TEST(DaemonTest, GreetingAdvertisesServerAndProtocol) {
   Fixture fixture(TestOptions());

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <string.h>
 #include <sys/epoll.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -26,8 +23,7 @@
 #include "daemon/client.h"
 #include "daemon/daemon.h"
 #include "daemon/sock_buffer.h"
-#include "restructure/plan_parser.h"
-#include "testing/fixtures.h"
+#include "testing/daemon_fixture.h"
 
 namespace dbpc {
 namespace {
@@ -189,70 +185,23 @@ TEST(ReactorTest, IoDispatchParkAndRemove) {
 // mid-state, parked sessions woken by worker completions).
 // ---------------------------------------------------------------------------
 
-const char* kSeniorsCpl = R"(PROGRAM SENIORS.
-  FOR EACH E IN FIND(EMP: SYSTEM, ALL-DIV, DIV, DIV-EMP, EMP(AGE > 30)) DO
-    GET EMP-NAME OF E INTO N.
-    DISPLAY N.
-  END-FOR.
-END PROGRAM.
-)";
-
-RestructuringPlan Figure44Plan() {
-  return std::move(ParsePlan(R"(
-RESTRUCTURE PLAN FIGURE-4-4.
-  INTRODUCE RECORD DEPT BETWEEN DIV-EMP GROUPING BY DEPT-NAME
-      AS DIV-DEPT AND DEPT-EMP.
-END PLAN.
-)"))
-      .value();
-}
-
-DaemonOptions EpollOptions() {
-  DaemonOptions options;
-  options.port = 0;
-  options.read_timeout_ms = 2000;
-  options.write_timeout_ms = 2000;
-  options.result_wait_ms = 5000;
-  options.drain_grace_ms = 10000;
-  options.service.jobs = 2;
-  options.service.supervisor.analyst = ApproveAllAnalyst();
-  return options;
-}
-
-struct Fixture {
-  RestructuringPlan plan = Figure44Plan();
-  std::unique_ptr<ConversionDaemon> daemon;
-
-  explicit Fixture(DaemonOptions options) {
-    Schema schema = testing::MakeDatabase(testing::CompanyDdl()).schema();
-    Result<std::unique_ptr<ConversionDaemon>> started =
-        ConversionDaemon::Start(schema, plan.View(), std::move(options));
-    EXPECT_TRUE(started.ok()) << started.status();
-    daemon = std::move(started).value();
-  }
-};
+using Fixture = testing::DaemonFixture;
+using testing::kSeniorsCpl;
+using testing::TestOptions;
 
 /// A raw TCP client below the DaemonClient abstraction: the tests need
 /// byte-level control over framing (partial commands, stalled payloads).
 std::unique_ptr<SockBuffer> RawConnect(int port) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  struct sockaddr_in addr;
-  memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
+  Result<int> fd = ConnectTcp("127.0.0.1", port, /*timeout_ms=*/-1);
+  EXPECT_TRUE(fd.ok()) << fd.status();
   return std::make_unique<SockBuffer>(
-      fd, SockBuffer::Limits{/*read_timeout_ms=*/8000,
-                             /*write_timeout_ms=*/8000,
-                             /*max_line_bytes=*/1 << 16});
+      fd.value_or(-1), SockBuffer::Limits{/*read_timeout_ms=*/8000,
+                                          /*write_timeout_ms=*/8000,
+                                          /*max_line_bytes=*/1 << 16});
 }
 
 TEST(EpollSessionTest, CommandAndPayloadSplitAcrossManyWakeups) {
-  Fixture fixture(EpollOptions());
+  Fixture fixture(TestOptions());
   std::unique_ptr<SockBuffer> sock = RawConnect(fixture.daemon->port());
   ASSERT_TRUE(sock->ReadLine().ok());  // greeting
 
@@ -277,7 +226,7 @@ TEST(EpollSessionTest, CommandAndPayloadSplitAcrossManyWakeups) {
 }
 
 TEST(EpollSessionTest, PipelinedCommandsAreAllAnsweredInOrder) {
-  Fixture fixture(EpollOptions());
+  Fixture fixture(TestOptions());
   std::unique_ptr<SockBuffer> sock = RawConnect(fixture.daemon->port());
   ASSERT_TRUE(sock->ReadLine().ok());  // greeting
 
@@ -293,7 +242,7 @@ TEST(EpollSessionTest, PipelinedCommandsAreAllAnsweredInOrder) {
 }
 
 TEST(EpollSessionTest, IdleDeadlineFiresMidCommandLine) {
-  DaemonOptions options = EpollOptions();
+  DaemonOptions options = TestOptions();
   options.read_timeout_ms = 200;
   Fixture fixture(std::move(options));
   std::unique_ptr<SockBuffer> sock = RawConnect(fixture.daemon->port());
@@ -310,7 +259,7 @@ TEST(EpollSessionTest, IdleDeadlineFiresMidCommandLine) {
 }
 
 TEST(EpollSessionTest, SlowLorisPayloadIsCutOffAtTheDeadline) {
-  DaemonOptions options = EpollOptions();
+  DaemonOptions options = TestOptions();
   options.read_timeout_ms = 300;
   Fixture fixture(std::move(options));
   std::unique_ptr<SockBuffer> sock = RawConnect(fixture.daemon->port());
@@ -341,7 +290,7 @@ TEST(EpollSessionTest, SlowLorisPayloadIsCutOffAtTheDeadline) {
 }
 
 TEST(EpollSessionTest, DrainWakesParkedResultWaitSessions) {
-  DaemonOptions options = EpollOptions();
+  DaemonOptions options = TestOptions();
   options.service.jobs = 1;
   std::atomic<bool> release{false};
   options.service.pipeline_override =
@@ -397,7 +346,7 @@ TEST(EpollSessionTest, DrainWakesParkedResultWaitSessions) {
 /// byte the server sent, as newline-joined lines, with the one legitimately
 /// nondeterministic token (latency_us) normalized.
 std::string Transcript() {
-  Fixture fixture(EpollOptions());
+  Fixture fixture(TestOptions());
   std::unique_ptr<SockBuffer> sock = RawConnect(fixture.daemon->port());
 
   std::string payload = kSeniorsCpl;
@@ -471,7 +420,7 @@ TEST(EpollSessionTest, ThousandConcurrentSessionsAllComplete) {
 
   constexpr int kSessions = 1000;
   constexpr int kThreads = 8;
-  DaemonOptions options = EpollOptions();
+  DaemonOptions options = TestOptions();
   options.max_connections = kSessions + 16;
   options.queue_depth = kSessions + 64;
   options.result_wait_ms = 20000;

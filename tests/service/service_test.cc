@@ -11,21 +11,12 @@
 #include <vector>
 
 #include "corpus/corpus.h"
-#include "restructure/plan_parser.h"
 #include "testing/fixtures.h"
 
 namespace dbpc {
 namespace {
 
-RestructuringPlan Figure44Plan() {
-  return std::move(ParsePlan(R"(
-RESTRUCTURE PLAN FIGURE-4-4.
-  INTRODUCE RECORD DEPT BETWEEN DIV-EMP GROUPING BY DEPT-NAME
-      AS DIV-DEPT AND DEPT-EMP.
-END PLAN.
-)"))
-      .value();
-}
+using testing::Figure44Plan;
 
 std::vector<Program> CompanyPrograms(int n = 0) {
   std::vector<CorpusProgram> corpus =
@@ -360,6 +351,30 @@ TEST(ConversionServiceTest, MetricsSnapshotCoversPipelineStages) {
   EXPECT_GT(metrics.GetHistogram("stage.optimize_us")->Count(), 0u);
   EXPECT_EQ(metrics.GetHistogram("program.total_us")->Count(),
             programs.size());
+
+  // A cache hit spends no analyze/convert/optimize time: it records only
+  // the attempt (program.total_us) and the Program Generator.
+  size_t automatic = 0;
+  while (report.outcomes.at(automatic).classification !=
+         Convertibility::kAutomatic) {
+    ++automatic;
+  }
+  const std::pair<const char*, uint64_t> kSamplesPerHit[] = {
+      {"stage.analyze_us", 0},  {"stage.convert_us", 0},
+      {"stage.optimize_us", 0}, {"stage.generate_us", 1},
+      {"program.total_us", 1}};
+  std::vector<uint64_t> before;
+  for (auto [name, n] : kSamplesPerHit) {
+    before.push_back(metrics.GetHistogram(name)->Count() + n);
+  }
+  ConversionRequest repeat;
+  repeat.program = programs[automatic];
+  ConversionResponse hit = service->Convert(repeat);
+  ASSERT_TRUE(hit.outcome.cache_hit && hit.accepted);
+  for (size_t i = 0; i < before.size(); ++i) {
+    const char* name = kSamplesPerHit[i].first;
+    EXPECT_EQ(metrics.GetHistogram(name)->Count(), before[i]) << name;
+  }
 
   // The corpus asks analyst questions and the optimizer rewrites programs.
   EXPECT_GT(metrics.GetCounter("analyst.questions")->Value(), 0u);

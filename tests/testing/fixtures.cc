@@ -7,6 +7,16 @@
 
 namespace dbpc::testing {
 
+RestructuringPlan Figure44Plan() {
+  return std::move(ParsePlan(R"(
+RESTRUCTURE PLAN FIGURE-4-4.
+  INTRODUCE RECORD DEPT BETWEEN DIV-EMP GROUPING BY DEPT-NAME
+      AS DIV-DEPT AND DEPT-EMP.
+END PLAN.
+)"))
+      .value();
+}
+
 std::string CompanyDdl() {
   return R"(
 SCHEMA NAME IS COMPANY

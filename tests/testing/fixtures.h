@@ -4,6 +4,7 @@
 #include <string>
 
 #include "engine/database.h"
+#include "restructure/plan_parser.h"
 #include "schema/schema.h"
 
 namespace dbpc::testing {
@@ -19,6 +20,10 @@ std::string CompanyRevisedDdl();
 /// COURSE and SEMESTER own COURSE-OFFERING (AUTOMATIC, MANDATORY),
 /// plus the "course offered at most twice per year" cardinality rule.
 std::string SchoolDdl();
+
+/// The Figure 4.4 restructuring plan: INTRODUCE RECORD DEPT between DIV
+/// and EMP, grouping by DEPT-NAME.
+RestructuringPlan Figure44Plan();
 
 /// Parses `ddl` and creates an empty database; aborts the test on failure.
 Database MakeDatabase(const std::string& ddl);

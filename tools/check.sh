@@ -1,14 +1,15 @@
 #!/bin/sh
 # One-command verification: the tier-1 build + test suite, then the
-# concurrency-sensitive service tests again under ThreadSanitizer and the
-# storage/engine tests and fuzz axes under AddressSanitizer.
+# concurrency-sensitive service tests again under ThreadSanitizer, the
+# storage/engine tests and fuzz axes under AddressSanitizer, and the
+# request-timing tests under UndefinedBehaviorSanitizer.
 #
 #   tools/check.sh [jobs]
 #
-# Build trees: build/ (plain), build-tsan/ (-DDBPC_SANITIZE=thread) and
-# build-asan/ (-DDBPC_SANITIZE=address).
-# The sanitizer matrix also accepts address and undefined; see the
-# DBPC_SANITIZE option in the top-level CMakeLists.txt.
+# Build trees: build/ (plain), build-tsan/ (-DDBPC_SANITIZE=thread),
+# build-asan/ (-DDBPC_SANITIZE=address) and build-ubsan/
+# (-DDBPC_SANITIZE=undefined); see the DBPC_SANITIZE option in the
+# top-level CMakeLists.txt.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -142,10 +143,10 @@ echo "== tsan: service tests under -DDBPC_SANITIZE=thread (build-tsan/) =="
 cmake -B build-tsan -S . -DDBPC_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" \
   --target service_test worker_pool_test metrics_test log_test \
-           sock_buffer_test daemon_test reactor_test admin_test store_test \
-           extent_test template_cache_test
+           timeline_test sock_buffer_test daemon_test reactor_test \
+           admin_test store_test extent_test template_cache_test
 (cd build-tsan/tests/service && ./worker_pool_test && ./service_test)
-(cd build-tsan/tests/common && ./metrics_test && ./log_test)
+(cd build-tsan/tests/common && ./metrics_test && ./log_test && ./timeline_test)
 (cd build-tsan/tests/daemon && ./sock_buffer_test && ./daemon_test \
   && ./reactor_test && ./admin_test)
 (cd build-tsan/tests/storage && ./store_test && ./extent_test)
@@ -166,5 +167,21 @@ cmake --build build-asan -j "$JOBS" \
 (cd build-asan/tests/restructure && ./data_copy_test)
 ./build-asan/tools/dbpc_fuzz --diff-columnar --seed 1 --iterations 50
 ./build-asan/tools/dbpc_fuzz --diff-index --seed 1 --iterations 50
+
+# Request durations are signed clock differences turned into unsigned
+# microseconds, read from a fixed array indexed by a mark enum; with
+# halt_on_error UBSan fails the leg on its first report instead of printing
+# and going on.
+echo "== ubsan: timing/service/daemon tests under -DDBPC_SANITIZE=undefined (build-ubsan/) =="
+cmake -B build-ubsan -S . -DDBPC_SANITIZE=undefined >/dev/null
+cmake --build build-ubsan -j "$JOBS" \
+  --target metrics_test timeline_test service_test supervisor_test \
+           daemon_test reactor_test admin_test
+export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+(cd build-ubsan/tests/common && ./metrics_test && ./timeline_test)
+(cd build-ubsan/tests/service && ./service_test)
+(cd build-ubsan/tests/supervisor && ./supervisor_test)
+(cd build-ubsan/tests/daemon && ./daemon_test && ./reactor_test \
+  && ./admin_test)
 
 echo "== check.sh: all green =="
