@@ -17,24 +17,22 @@
 //   bench_daemon --json <file>   also write the rows as JSON (the
 //                                BENCH_daemon.json baseline format)
 //
-// Session driving: up to 400 connections each session is its own client
-// thread (one blocking Submit + RESULT WAIT round trip at a time — the
-// same closed loop the seed measured). Above that, client threads would
-// distort the measurement on small hosts (2000 threads on one core is a
-// client-side collapse, not a server measurement), so 1000+ rows
-// multiplex ~25 sessions per client thread: submit one request on every
-// session, then fetch every result — still at most one outstanding
-// request per session, so the server-side shape is identical.
+// Sessions are driven by the library's load driver (RunLoad, daemon/load.h),
+// the one dbpc_load uses: at most kLoadMaxThreads client threads, each
+// owning several sessions with at most one request outstanding per
+// session, so the server sees N closed-loop sessions while the client
+// stays a handful of threads (2000 client threads would measure the load
+// generator, not the daemon).
 //
 // Like E10/E11 this is a plain table program: google-benchmark repetition
 // would only serialize the interesting part (hundreds of live sockets).
 //
-// E17 (telemetry overhead): the 400-session row is measured twice —
-// plain, then with the full telemetry plane on (structured logging with a
+// E17 (telemetry overhead): the 400-session row is measured in pairs —
+// plain, and with the full telemetry plane on (structured logging with a
 // file sink, --slow-request-ms 1 so *every* request writes a slow-request
 // line, and a 1 Hz /metrics scraper against the admin endpoint) — and the
-// throughput delta must stay under 3%. Observability that taxes the hot
-// path more than that is a bug.
+// median throughput delta over the pairs must stay under 3%. Observability
+// that taxes the hot path more than that is a bug.
 
 #include <algorithm>
 #include <atomic>
@@ -54,176 +52,10 @@
 namespace dbpc {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-const char* kPlanText = R"(
-RESTRUCTURE PLAN FIGURE-4-4.
-  INTRODUCE RECORD DEPT BETWEEN DIV-EMP GROUPING BY DEPT-NAME
-      AS DIV-DEPT AND DEPT-EMP.
-END PLAN.
-)";
-
-// The two sample programs, one automatic and one sequential-access shape.
-const char* kPayloads[] = {
-    R"(PROGRAM SENIORS.
-  FOR EACH E IN FIND(EMP: SYSTEM, ALL-DIV, DIV, DIV-EMP, EMP(AGE > 30)) DO
-    GET EMP-NAME OF E INTO N.
-    DISPLAY N.
-  END-FOR.
-END PROGRAM.
-)",
-    R"(PROGRAM SALES-RPT.
-  FIND ANY DIV (DIV-NAME = 'MACHINERY').
-  FIND FIRST EMP WITHIN DIV-EMP USING (DEPT-NAME = 'SALES').
-  WHILE DB-STATUS = '0000' DO
-    GET EMP-NAME INTO N.
-    WRITE REPORT FROM N.
-    FIND NEXT EMP WITHIN DIV-EMP USING (DEPT-NAME = 'SALES').
-  END-WHILE.
-END PROGRAM.
-)"};
-
-struct SessionTally {
-  std::vector<uint64_t> latencies_us;
-  uint64_t completed = 0;
-  uint64_t backpressure = 0;
-  uint64_t dropped = 0;  // no response at all — must stay 0
-  bool connected = false;
-};
-
-/// One closed-loop session: Submit + Fetch(wait) until the deadline. On
-/// backpressure it backs off briefly (a spinning retry loop would starve
-/// the very workers it is waiting on, this host included single-core CI).
-void RunSession(int port, int index, Clock::time_point deadline,
-                SessionTally* tally) {
-  Result<std::unique_ptr<DaemonClient>> client = DaemonClient::Connect(
-      "127.0.0.1", port, SockBuffer::Limits{20000, 20000, 1 << 16});
-  if (!client.ok()) return;
-  tally->connected = true;
-  uint64_t sequence = static_cast<uint64_t>(index);
-  while (Clock::now() < deadline) {
-    ConversionRequest request;
-    request.source = kPayloads[++sequence % 2];
-    Clock::time_point start = Clock::now();
-    Result<JobId> id = (*client)->Submit(request);
-    if (!id.ok()) {
-      if (id.status().code() == StatusCode::kUnavailable) {
-        ++tally->backpressure;
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        continue;
-      }
-      ++tally->dropped;
-      return;
-    }
-    Result<ConversionResponse> response = (*client)->Fetch(*id, true);
-    if (!response.ok()) {
-      ++tally->dropped;
-      return;
-    }
-    tally->latencies_us.push_back(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                              start)
-            .count()));
-    ++tally->completed;
-  }
-  (*client)->Quit();
-}
-
-// Above this many connections the bench multiplexes sessions onto a small
-// pool of client threads instead of one thread per session.
-constexpr int kMuxThreshold = 400;
-constexpr int kSessionsPerMuxThread = 25;
-
-/// Multiplexed driver for the 1000+ rows: one client thread owns `count`
-/// sessions and keeps at most one outstanding request per session —
-/// submit one job on every session, then fetch every result. The server
-/// sees the same closed-loop shape as RunSession; only the client-side
-/// thread count changes.
-void RunMuxSessions(int port, int base_index, int count,
-                    Clock::time_point deadline, SessionTally* tallies) {
-  struct Slot {
-    std::unique_ptr<DaemonClient> client;
-    SessionTally* tally = nullptr;
-    uint64_t sequence = 0;
-    JobId pending_id = 0;
-    bool has_pending = false;
-    Clock::time_point start;
-  };
-  std::vector<Slot> slots(static_cast<size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    slots[i].tally = &tallies[i];
-    slots[i].sequence = static_cast<uint64_t>(base_index + i);
-    Result<std::unique_ptr<DaemonClient>> client = DaemonClient::Connect(
-        "127.0.0.1", port, SockBuffer::Limits{20000, 20000, 1 << 16});
-    if (!client.ok()) continue;
-    slots[i].client = std::move(*client);
-    slots[i].tally->connected = true;
-  }
-  while (Clock::now() < deadline) {
-    bool any_submitted = false;
-    for (Slot& slot : slots) {
-      if (slot.client == nullptr) continue;
-      ConversionRequest request;
-      request.source = kPayloads[++slot.sequence % 2];
-      slot.start = Clock::now();
-      Result<JobId> id = slot.client->Submit(request);
-      if (!id.ok()) {
-        slot.has_pending = false;
-        if (id.status().code() == StatusCode::kUnavailable) {
-          ++slot.tally->backpressure;
-          continue;
-        }
-        ++slot.tally->dropped;
-        slot.client.reset();
-        continue;
-      }
-      slot.pending_id = *id;
-      slot.has_pending = true;
-      any_submitted = true;
-    }
-    for (Slot& slot : slots) {
-      if (slot.client == nullptr || !slot.has_pending) continue;
-      slot.has_pending = false;
-      Result<ConversionResponse> response =
-          slot.client->Fetch(slot.pending_id, true);
-      if (!response.ok()) {
-        ++slot.tally->dropped;
-        slot.client.reset();
-        continue;
-      }
-      slot.tally->latencies_us.push_back(static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                                slot.start)
-              .count()));
-      ++slot.tally->completed;
-    }
-    if (!any_submitted) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-  }
-  for (Slot& slot : slots) {
-    if (slot.client != nullptr) slot.client->Quit();
-  }
-}
-
 struct Row {
   int connections = 0;
-  double duration_s = 0;
-  uint64_t completed = 0;
-  uint64_t backpressure = 0;
-  uint64_t dropped = 0;
-  int idle_sessions = 0;  // sessions that finished 0 round trips
-  double conversions_per_sec = 0;
-  uint64_t p50_us = 0;
-  uint64_t p99_us = 0;
+  LoadReport load;
 };
-
-uint64_t PercentileUs(const std::vector<uint64_t>& sorted, double p) {
-  if (sorted.empty()) return 0;
-  size_t index = static_cast<size_t>(p / 100.0 *
-                                     static_cast<double>(sorted.size() - 1));
-  return sorted[index];
-}
 
 Result<std::unique_ptr<ConversionDaemon>> StartDaemon(
     const Schema& schema, const RestructuringPlan& plan, int connections,
@@ -281,26 +113,11 @@ Row MeasureRow(const Schema& schema, const RestructuringPlan& plan,
     });
   }
 
-  std::vector<SessionTally> tallies(connections);
-  std::vector<std::thread> sessions;
-  Clock::time_point start = Clock::now();
-  Clock::time_point deadline = start + std::chrono::milliseconds(duration_ms);
-  if (connections > kMuxThreshold) {
-    for (int base = 0; base < connections; base += kSessionsPerMuxThread) {
-      int count = std::min(kSessionsPerMuxThread, connections - base);
-      sessions.emplace_back(RunMuxSessions, daemon->port(), base, count,
-                            deadline, &tallies[base]);
-    }
-  } else {
-    for (int i = 0; i < connections; ++i) {
-      sessions.emplace_back(RunSession, daemon->port(), i, deadline,
-                            &tallies[i]);
-    }
-  }
-  for (std::thread& session : sessions) session.join();
-  double elapsed_s = std::chrono::duration_cast<std::chrono::duration<double>>(
-                         Clock::now() - start)
-                         .count();
+  LoadOptions load;
+  load.port = daemon->port();
+  load.connections = connections;
+  load.duration_ms = duration_ms;
+  Row row{connections, RunLoad(load)};
   if (telemetry) {
     scraper_stop.store(true);
     scraper.join();
@@ -311,24 +128,6 @@ Row MeasureRow(const Schema& schema, const RestructuringPlan& plan,
     GlobalLogger().Configure({LogLevel::kInfo, false, nullptr});
     if (log_file != nullptr) std::fclose(log_file);
   }
-
-  Row row;
-  row.connections = connections;
-  row.duration_s = elapsed_s;
-  std::vector<uint64_t> latencies;
-  for (const SessionTally& tally : tallies) {
-    row.completed += tally.completed;
-    row.backpressure += tally.backpressure;
-    row.dropped += tally.dropped;
-    if (!tally.connected || tally.completed == 0) ++row.idle_sessions;
-    latencies.insert(latencies.end(), tally.latencies_us.begin(),
-                     tally.latencies_us.end());
-  }
-  std::sort(latencies.begin(), latencies.end());
-  row.p50_us = PercentileUs(latencies, 50);
-  row.p99_us = PercentileUs(latencies, 99);
-  row.conversions_per_sec =
-      elapsed_s > 0 ? static_cast<double>(row.completed) / elapsed_s : 0;
   return row;
 }
 
@@ -342,92 +141,98 @@ bool CheckDrainUnderTraffic(const Schema& schema,
   std::unique_ptr<ConversionDaemon> daemon = bench::Value(
       StartDaemon(schema, plan, kConnections), "daemon start");
 
-  std::vector<SessionTally> tallies(kConnections);
-  std::vector<std::thread> sessions;
-  Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(1200);
-  for (int i = 0; i < kConnections; ++i) {
-    sessions.emplace_back(RunSession, daemon->port(), i, deadline,
-                          &tallies[i]);
-  }
+  LoadOptions options;
+  options.port = daemon->port();
+  options.connections = kConnections;
+  options.duration_ms = 1200;
+  LoadReport load;
+  std::thread driver([&load, &options] { load = RunLoad(options); });
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  Result<std::unique_ptr<DaemonClient>> controller = DaemonClient::Connect(
-      "127.0.0.1", daemon->port(), SockBuffer::Limits{20000, 20000, 1 << 16});
+  Result<std::unique_ptr<DaemonClient>> controller =
+      DaemonClient::Connect("127.0.0.1", daemon->port());
   Status drained =
       controller.ok() ? (*controller)->Drain() : controller.status();
-  for (std::thread& session : sessions) session.join();
+  driver.join();
 
-  uint64_t dropped = 0, backpressure = 0, completed = 0;
-  for (const SessionTally& tally : tallies) {
-    dropped += tally.dropped;
-    backpressure += tally.backpressure;
-    completed += tally.completed;
-  }
   bool all_admitted_completed =
       daemon->jobs_admitted() == daemon->jobs_completed();
   std::printf(
       "drain under traffic: drain=%s, %llu completed, %llu backpressured, "
       "%llu dropped, admitted==completed: %s\n",
-      drained.ToString().c_str(), static_cast<unsigned long long>(completed),
-      static_cast<unsigned long long>(backpressure),
-      static_cast<unsigned long long>(dropped),
+      drained.ToString().c_str(),
+      static_cast<unsigned long long>(load.completed()),
+      static_cast<unsigned long long>(load.backpressure),
+      static_cast<unsigned long long>(load.dropped),
       all_admitted_completed ? "yes" : "NO");
   daemon->Stop();
-  return drained.ok() && dropped == 0 && backpressure > 0 &&
+  return drained.ok() && load.dropped == 0 && load.backpressure > 0 &&
          all_admitted_completed;
 }
 
+/// The middle value of an odd-sized sample (E17 runs 1 or 9 pairs).
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
 struct E17Result {
-  Row baseline;
-  Row telemetry;
-  uint64_t scrapes = 0;
-  double delta = 0.0;  // fractional throughput loss, telemetry vs baseline
-  bool gated = false;  // sound and under the 3% ceiling
+  int connections = 0;
+  std::vector<double> deltas;      // fractional throughput loss, per pair
+  double baseline_per_sec = 0.0;   // median over the pairs
+  double telemetry_per_sec = 0.0;  // median over the pairs
+  double delta = 0.0;              // median of deltas
+  uint64_t scrapes = 0;  // fewest successful scrapes in any telemetry run
+  bool sound = true;     // every pair: zero drops, at least one scrape
 };
 
-/// E17: the same shape measured twice, plain and with the telemetry plane
-/// on. Retries up to `attempts` times keeping the best sound pair —
-/// loopback load rows carry a few percent of run-to-run noise on a shared
-/// host, and the gate is about systematic cost, not scheduler luck.
+/// E17: `pairs` back-to-back pairs of the same shape, plain and with the
+/// telemetry plane on, alternating which arm runs first so neither arm
+/// always inherits the other's warm-up. The gate is on the median delta:
+/// one pair of loopback rows on a shared host differs by several percent
+/// either way, so a single pair (or the best of a few) measures the host,
+/// not the telemetry plane.
 E17Result MeasureTelemetryOverhead(const Schema& schema,
                                    const RestructuringPlan& plan,
                                    int connections, int duration_ms,
-                                   int attempts) {
-  E17Result best;
-  bool have_best = false;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    Row baseline = MeasureRow(schema, plan, connections, duration_ms);
+                                   int pairs) {
+  E17Result result;
+  result.connections = connections;
+  std::vector<double> baselines, telemetries;
+  for (int pair = 0; pair < pairs; ++pair) {
+    bool telemetry_first = pair % 2 == 1;
     uint64_t scrapes = 0;
-    Row telemetry = MeasureRow(schema, plan, connections, duration_ms,
-                               /*telemetry=*/true, &scrapes);
-    double delta =
-        baseline.conversions_per_sec > 0
-            ? (baseline.conversions_per_sec -
-               telemetry.conversions_per_sec) /
-                  baseline.conversions_per_sec
-            : 0.0;
+    Row telemetry;
+    if (telemetry_first) {
+      telemetry = MeasureRow(schema, plan, connections, duration_ms,
+                             /*telemetry=*/true, &scrapes);
+    }
+    Row baseline = MeasureRow(schema, plan, connections, duration_ms);
+    if (!telemetry_first) {
+      telemetry = MeasureRow(schema, plan, connections, duration_ms,
+                             /*telemetry=*/true, &scrapes);
+    }
+    double base = baseline.load.completed_per_sec();
+    double with = telemetry.load.completed_per_sec();
+    double delta = base > 0 ? (base - with) / base : 0.0;
     bool sound =
-        baseline.dropped == 0 && telemetry.dropped == 0 && scrapes > 0;
+        baseline.load.dropped == 0 && telemetry.load.dropped == 0 &&
+        scrapes > 0;
     std::printf(
-        "E17 %4d sessions, attempt %d: baseline %.1f conv/s, "
+        "E17 %4d sessions, pair %d (%s first): baseline %.1f conv/s, "
         "telemetry %.1f conv/s (delta %+.1f%%, %llu scrapes)%s\n",
-        connections, attempt + 1,
-        baseline.conversions_per_sec, telemetry.conversions_per_sec,
-        delta * 100.0, static_cast<unsigned long long>(scrapes),
+        connections, pair + 1, telemetry_first ? "telemetry" : "baseline",
+        base, with, delta * 100.0, static_cast<unsigned long long>(scrapes),
         sound ? "" : " [UNSOUND]");
-    if (sound && (!have_best || delta < best.delta)) {
-      best.baseline = baseline;
-      best.telemetry = telemetry;
-      best.scrapes = scrapes;
-      best.delta = delta;
-      have_best = true;
-    }
-    if (have_best && best.delta < 0.03) {
-      best.gated = true;
-      break;
-    }
+    result.sound = result.sound && sound;
+    result.scrapes = pair == 0 ? scrapes : std::min(result.scrapes, scrapes);
+    baselines.push_back(base);
+    telemetries.push_back(with);
+    result.deltas.push_back(delta);
   }
-  return best;
+  result.baseline_per_sec = Median(baselines);
+  result.telemetry_per_sec = Median(telemetries);
+  result.delta = Median(result.deltas);
+  return result;
 }
 
 struct Shape {
@@ -437,8 +242,7 @@ struct Shape {
 
 int RunAll(bool smoke, const std::string& json_path) {
   Schema schema = testing::MakeDatabase(testing::CompanyDdl()).schema();
-  RestructuringPlan plan =
-      std::move(bench::Value(ParsePlan(kPlanText), "parse plan"));
+  RestructuringPlan plan = testing::Figure44Plan();
 
   std::vector<Shape> shapes;
   if (smoke) {
@@ -456,21 +260,22 @@ int RunAll(bool smoke, const std::string& json_path) {
   bool sound = true;
   for (const Shape& shape : shapes) {
     Row row = MeasureRow(schema, plan, shape.connections, shape.duration_ms);
+    const LoadReport& load = row.load;
     std::printf("%12d %10llu %12llu %14.1f %9.1f %10.1f %10llu %6d\n",
                 row.connections,
-                static_cast<unsigned long long>(row.completed),
-                static_cast<unsigned long long>(row.backpressure),
-                row.conversions_per_sec,
-                static_cast<double>(row.p50_us) / 1000.0,
-                static_cast<double>(row.p99_us) / 1000.0,
-                static_cast<unsigned long long>(row.dropped),
-                row.idle_sessions);
+                static_cast<unsigned long long>(load.completed()),
+                static_cast<unsigned long long>(load.backpressure),
+                load.completed_per_sec(),
+                static_cast<double>(load.PercentileUs(50)) / 1000.0,
+                static_cast<double>(load.PercentileUs(99)) / 1000.0,
+                static_cast<unsigned long long>(load.dropped),
+                load.idle_sessions);
     // The zero-drop contract holds at every scale; every session at the
     // >= 200 tier must also complete at least one conversion ("sustained",
     // not merely connected).
-    if (row.dropped != 0) sound = false;
-    if (row.connections >= 200 && row.idle_sessions != 0) sound = false;
-    rows.push_back(row);
+    if (load.dropped != 0) sound = false;
+    if (row.connections >= 200 && load.idle_sessions != 0) sound = false;
+    rows.push_back(std::move(row));
   }
   if (!sound) {
     std::fprintf(stderr,
@@ -484,25 +289,22 @@ int RunAll(bool smoke, const std::string& json_path) {
     return 1;
   }
 
-  // E17: telemetry overhead. Smoke keeps it short and gates only on
-  // soundness (zero drops, at least one live scrape); the full run gates
-  // the 400-session row on the <3% throughput ceiling.
+  // E17: telemetry overhead. Smoke keeps it to one short pair and gates
+  // only on soundness (zero drops, at least one live scrape); the full run
+  // gates the 400-session row's median delta over 9 pairs on the <3%
+  // throughput ceiling. Per-pair deltas spread about +-6% on a 4-core host,
+  // so fewer pairs leave the median too loose to test a 3% claim.
   E17Result e17 =
       MeasureTelemetryOverhead(schema, plan, smoke ? 64 : 400,
-                               smoke ? 1000 : 3000, smoke ? 1 : 3);
-  if (e17.scrapes == 0) {
+                               smoke ? 1000 : 3000, smoke ? 1 : 9);
+  if (!e17.sound) {
     std::fprintf(stderr,
-                 "bench_daemon: FAILED (E17 produced no sound "
-                 "baseline/telemetry pair)\n");
+                 "bench_daemon: FAILED (E17 pair dropped requests or saw no "
+                 "scrape)\n");
     return 1;
   }
-  if (!smoke && !e17.gated) {
-    std::fprintf(stderr,
-                 "bench_daemon: FAILED (E17 telemetry overhead %.1f%% "
-                 ">= 3%% ceiling)\n",
-                 e17.delta * 100.0);
-    return 1;
-  }
+  std::printf("E17 median over %zu pair(s): delta %+.1f%%\n",
+              e17.deltas.size(), e17.delta * 100.0);
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);
@@ -511,25 +313,31 @@ int RunAll(bool smoke, const std::string& json_path) {
                    json_path.c_str());
       return 1;
     }
-    out << "{\n  \"experiment\": \"E13/E16/E17\",\n  \"tool\": "
-        << "\"bench_daemon\","
-        << "\n  \"unit\": \"client-observed round-trip latency (us), "
-        << "completed conversions/sec, closed loop\",\n  \"rows\": [\n";
     char line[320];
+    std::snprintf(line, sizeof(line),
+                  "  \"host\": {\"nproc\": %u, \"compiler\": \"gcc %s\", "
+                  "\"build_type\": \"%s\"},\n",
+                  std::thread::hardware_concurrency(), __VERSION__,
+                  DBPC_BUILD_TYPE);
+    out << "{\n  \"experiment\": \"E13/E16/E17\",\n  \"tool\": "
+        << "\"bench_daemon\",\n"
+        << line
+        << "  \"unit\": \"client-observed round-trip latency (us), "
+        << "completed conversions/sec, closed loop\",\n  \"rows\": [\n";
     for (size_t i = 0; i < rows.size(); ++i) {
-      const Row& row = rows[i];
+      const LoadReport& load = rows[i].load;
       std::snprintf(line, sizeof(line),
                     "    {\"connections\": %d, \"completed\": %llu, "
                     "\"backpressure\": %llu, \"dropped\": %llu, "
                     "\"conversions_per_sec\": %.1f, \"p50_us\": %llu, "
                     "\"p99_us\": %llu}%s\n",
-                    row.connections,
-                    static_cast<unsigned long long>(row.completed),
-                    static_cast<unsigned long long>(row.backpressure),
-                    static_cast<unsigned long long>(row.dropped),
-                    row.conversions_per_sec,
-                    static_cast<unsigned long long>(row.p50_us),
-                    static_cast<unsigned long long>(row.p99_us),
+                    rows[i].connections,
+                    static_cast<unsigned long long>(load.completed()),
+                    static_cast<unsigned long long>(load.backpressure),
+                    static_cast<unsigned long long>(load.dropped),
+                    load.completed_per_sec(),
+                    static_cast<unsigned long long>(load.PercentileUs(50)),
+                    static_cast<unsigned long long>(load.PercentileUs(99)),
                     i + 1 < rows.size() ? "," : "");
       out << line;
     }
@@ -538,12 +346,27 @@ int RunAll(bool smoke, const std::string& json_path) {
                   "  \"e17\": {\"connections\": %d, "
                   "\"baseline_conversions_per_sec\": %.1f, "
                   "\"telemetry_conversions_per_sec\": %.1f, "
-                  "\"delta_pct\": %.2f, \"scrapes\": %llu}\n",
-                  e17.baseline.connections,
-                  e17.baseline.conversions_per_sec,
-                  e17.telemetry.conversions_per_sec, e17.delta * 100.0,
+                  "\"delta_pct\": %.2f, \"scrapes\": %llu, "
+                  "\"deltas_pct\": [",
+                  e17.connections, e17.baseline_per_sec,
+                  e17.telemetry_per_sec, e17.delta * 100.0,
                   static_cast<unsigned long long>(e17.scrapes));
-    out << line << "}\n";
+    out << line;
+    for (size_t i = 0; i < e17.deltas.size(); ++i) {
+      std::snprintf(line, sizeof(line), "%s%.2f", i > 0 ? ", " : "",
+                    e17.deltas[i] * 100.0);
+      out << line;
+    }
+    out << "]}\n}\n";
+  }
+  // Checked after the JSON is written, so a failing run still records
+  // what it measured.
+  if (!smoke && e17.delta >= 0.03) {
+    std::fprintf(stderr,
+                 "bench_daemon: FAILED (E17 median telemetry overhead "
+                 "%.1f%% >= 3%% ceiling)\n",
+                 e17.delta * 100.0);
+    return 1;
   }
   std::printf("daemon load sound: zero dropped requests, drain-under-traffic "
               "contract held\n");

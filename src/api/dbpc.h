@@ -32,9 +32,10 @@
 ///   Batch service    ConversionService, ServiceOptions (parallel
 ///                    whole-system conversion with metrics over
 ///                    ConversionRequests).
-///   Network daemon   ConversionDaemon, DaemonOptions, DaemonClient
-///                    (daemon/daemon.h, daemon/client.h; wire protocol in
-///                    DAEMON.md)
+///   Network daemon   ConversionDaemon, DaemonOptions, DaemonClient,
+///                    RunLoad/LoadOptions/LoadReport (the load driver)
+///                    (daemon/daemon.h, daemon/client.h, daemon/load.h;
+///                    wire protocol in DAEMON.md)
 ///   Verification     CheckEquivalence, AdviseProgram
 ///   Cross-model      LowerToNavigational, GenerateSequel, hierarchical
 ///                    and relational backends, emulation bridge
@@ -76,6 +77,7 @@
 #include "daemon/admin.h"
 #include "daemon/client.h"
 #include "daemon/daemon.h"
+#include "daemon/load.h"
 #include "daemon/protocol.h"
 
 #include "equivalence/checker.h"

@@ -35,6 +35,13 @@ Result<std::unique_ptr<DaemonClient>> DaemonClient::Connect(
 
 Result<WireReply> DaemonClient::RoundTrip(const std::string& wire,
                                           std::string* payload) {
+  Result<WireReply> reply = Exchange(wire, payload);
+  if (!reply.ok()) connected_ = false;
+  return reply;
+}
+
+Result<WireReply> DaemonClient::Exchange(const std::string& wire,
+                                         std::string* payload) {
   DBPC_RETURN_IF_ERROR(sock_->WriteAll(wire));
   DBPC_ASSIGN_OR_RETURN(std::string line, sock_->ReadLine());
   DBPC_ASSIGN_OR_RETURN(WireReply reply, ParseReplyLine(line));

@@ -13,9 +13,17 @@
 namespace dbpc {
 
 /// A blocking client for one dbpcd session. Thin: one SockBuffer plus the
-/// protocol codec, so tools (dbpc_load), benchmarks and tests all speak
-/// the wire exactly as documented in DAEMON.md. Not thread-safe; use one
-/// client per connection/thread.
+/// protocol codec, so the load driver (daemon/load.h, behind dbpc_load and
+/// bench_daemon), benchmarks and tests all speak the wire exactly as
+/// documented in DAEMON.md. Not thread-safe; use one client per
+/// connection/thread.
+///
+/// Errors come in two kinds. A server `-ERR` reply (e.g. `-ERR unavailable`
+/// backpressure) leaves the session usable. A transport failure (peer
+/// closed, send/recv error, I/O deadline) or an unreadable reply leaves it
+/// unusable, and connected() turns false for good; both can surface as
+/// kUnavailable, so callers tell them apart by connected(), not by the
+/// message.
 class DaemonClient {
  public:
   /// Connects, reads the greeting and checks the protocol version.
@@ -52,6 +60,10 @@ class DaemonClient {
   /// Polite goodbye (the server closes after acknowledging).
   Status Quit();
 
+  /// False once a round trip failed in transport or read a reply it could
+  /// not parse; the session cannot be used after that.
+  bool connected() const { return connected_; }
+
   /// Fields of the greeting line (server=dbpcd, proto=N, ...).
   const std::map<std::string, std::string>& greeting() const {
     return greeting_;
@@ -66,11 +78,14 @@ class DaemonClient {
   explicit DaemonClient(std::unique_ptr<SockBuffer> sock);
 
   /// Writes one command line (plus optional payload) and parses the reply
-  /// line; reads the counted payload of +DATA replies into `payload`.
+  /// line; reads the counted payload of +DATA replies into `payload`. Any
+  /// error it returns clears connected_.
   Result<WireReply> RoundTrip(const std::string& wire, std::string* payload);
+  Result<WireReply> Exchange(const std::string& wire, std::string* payload);
 
   std::unique_ptr<SockBuffer> sock_;
   std::map<std::string, std::string> greeting_;
+  bool connected_ = true;
 };
 
 }  // namespace dbpc

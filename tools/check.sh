@@ -144,11 +144,11 @@ cmake -B build-tsan -S . -DDBPC_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" \
   --target service_test worker_pool_test metrics_test log_test \
            timeline_test sock_buffer_test daemon_test reactor_test \
-           admin_test store_test extent_test template_cache_test
+           admin_test load_test store_test extent_test template_cache_test
 (cd build-tsan/tests/service && ./worker_pool_test && ./service_test)
 (cd build-tsan/tests/common && ./metrics_test && ./log_test && ./timeline_test)
 (cd build-tsan/tests/daemon && ./sock_buffer_test && ./daemon_test \
-  && ./reactor_test && ./admin_test)
+  && ./reactor_test && ./admin_test && ./load_test)
 (cd build-tsan/tests/storage && ./store_test && ./extent_test)
 (cd build-tsan/tests/convert && ./template_cache_test)
 
@@ -169,19 +169,19 @@ cmake --build build-asan -j "$JOBS" \
 ./build-asan/tools/dbpc_fuzz --diff-index --seed 1 --iterations 50
 
 # Request durations are signed clock differences turned into unsigned
-# microseconds, read from a fixed array indexed by a mark enum; with
-# halt_on_error UBSan fails the leg on its first report instead of printing
-# and going on.
+# microseconds (the load driver's latencies too), read from a fixed array
+# indexed by a mark enum; with halt_on_error UBSan fails the leg on its
+# first report instead of printing and going on.
 echo "== ubsan: timing/service/daemon tests under -DDBPC_SANITIZE=undefined (build-ubsan/) =="
 cmake -B build-ubsan -S . -DDBPC_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j "$JOBS" \
   --target metrics_test timeline_test service_test supervisor_test \
-           daemon_test reactor_test admin_test
+           daemon_test reactor_test admin_test load_test
 export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 (cd build-ubsan/tests/common && ./metrics_test && ./timeline_test)
 (cd build-ubsan/tests/service && ./service_test)
 (cd build-ubsan/tests/supervisor && ./supervisor_test)
 (cd build-ubsan/tests/daemon && ./daemon_test && ./reactor_test \
-  && ./admin_test)
+  && ./admin_test && ./load_test)
 
 echo "== check.sh: all green =="

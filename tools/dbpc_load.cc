@@ -27,8 +27,8 @@
 //                          (exercises the parse-error path; default 0)
 //   --trace-pct <n>        percent of submits with trace=1 (default 0)
 //   --program <file>       CPL payload source, repeatable; round-robin mix.
-//                          Without it, two embedded company-schema
-//                          programs are used.
+//                          Without it, the driver's two company-schema
+//                          programs (DefaultLoadPayloads) are used.
 //   --report <file>        write the summary as JSON ("-" for stdout)
 //   --scrape-url <url>     dbpcd admin endpoint (http://host:port or
 //                          host:port); /metrics is scraped before and
@@ -38,77 +38,25 @@
 //   --drain                finish by sending DRAIN and checking it succeeds
 //   --quiet                suppress the human-readable summary
 //
+// Sessions are driven by the library's load driver (RunLoad, daemon/load.h),
+// the same one bench_daemon uses.
+//
 // Exit status: 0 when every submitted request got a response (even an
 // error one), any --drain succeeded, and any --scrape-url answered both
 // scrapes; 1 otherwise; 2 on usage errors.
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "api/dbpc.h"
 
 namespace {
 
 using namespace dbpc;
-using Clock = std::chrono::steady_clock;
-
-// Payloads valid against samples/company.ddl — the schema the smoke and
-// bench daemons serve.
-const char* kSeniorsCpl = R"(PROGRAM SENIORS.
-  FOR EACH E IN FIND(EMP: SYSTEM, ALL-DIV, DIV, DIV-EMP, EMP(AGE > 30)) DO
-    GET EMP-NAME OF E INTO N.
-    DISPLAY N.
-  END-FOR.
-END PROGRAM.
-)";
-
-const char* kSalesRptCpl = R"(PROGRAM SALES-RPT.
-  FIND ANY DIV (DIV-NAME = 'MACHINERY').
-  FIND FIRST EMP WITHIN DIV-EMP USING (DEPT-NAME = 'SALES').
-  WHILE DB-STATUS = '0000' DO
-    GET EMP-NAME INTO N.
-    WRITE REPORT FROM N.
-    FIND NEXT EMP WITHIN DIV-EMP USING (DEPT-NAME = 'SALES').
-  END-WHILE.
-END PROGRAM.
-)";
-
-const char* kMalformedPayload = "THIS IS NOT A CPL PROGRAM AT ALL\n";
-
-struct WorkerTally {
-  std::vector<uint64_t> latencies_us;
-  uint64_t submitted = 0;
-  uint64_t accepted = 0;
-  uint64_t refused = 0;       // kDone but not accepted
-  uint64_t failed = 0;        // JobState::kFailed (parse errors)
-  uint64_t backpressure = 0;  // -ERR unavailable on SUBMIT
-  uint64_t dropped = 0;       // no response at all (connection died)
-  uint64_t connect_errors = 0;
-};
-
-struct LoadConfig {
-  std::string host = "127.0.0.1";
-  int port = 0;
-  int connections = 8;
-  int duration_ms = 2000;
-  int rps = 0;
-  bool open_loop = false;
-  int deadline_ms = 0;
-  int malformed_pct = 0;
-  int trace_pct = 0;
-  std::vector<std::string> payloads;
-};
 
 /// Splits "http://host:port" (or bare "host:port") into its parts.
 bool ParseScrapeUrl(const std::string& url, std::string* host, int* port) {
@@ -161,97 +109,6 @@ ScrapeSample ScrapeDaemon(const std::string& host, int port) {
   return sample;
 }
 
-uint64_t PercentileUs(std::vector<uint64_t>& sorted, double p) {
-  if (sorted.empty()) return 0;
-  size_t index = static_cast<size_t>(p / 100.0 *
-                                     static_cast<double>(sorted.size() - 1));
-  return sorted[index];
-}
-
-void RunWorker(const LoadConfig& config, int worker_index,
-               std::atomic<uint64_t>* rate_tickets, Clock::time_point start,
-               WorkerTally* tally) {
-  Result<std::unique_ptr<DaemonClient>> client =
-      DaemonClient::Connect(config.host, config.port);
-  if (!client.ok()) {
-    ++tally->connect_errors;
-    return;
-  }
-  Clock::time_point deadline =
-      start + std::chrono::milliseconds(config.duration_ms);
-  // Deterministic per-worker mix (no global RNG: runs are reproducible).
-  uint64_t sequence = static_cast<uint64_t>(worker_index) * 7919;
-  while (Clock::now() < deadline) {
-    Clock::time_point scheduled_at = Clock::now();
-    if (config.rps > 0) {
-      // Global token pacing: ticket k may not be submitted before
-      // start + k/rps.
-      uint64_t ticket = rate_tickets->fetch_add(1);
-      Clock::time_point not_before =
-          start + std::chrono::microseconds(ticket * 1000000ull /
-                                            static_cast<uint64_t>(config.rps));
-      std::this_thread::sleep_until(not_before);
-      if (Clock::now() >= deadline) break;
-      // Open loop: the request "arrived" at its scheduled instant whether
-      // or not a worker was free then. Measuring from not_before charges
-      // any queueing delay inside the load generator to the server's
-      // latency — the coordinated-omission correction — so an overloaded
-      // server cannot hide behind a stalled client.
-      if (config.open_loop) scheduled_at = not_before;
-    }
-    ++sequence;
-    ConversionRequest request;
-    bool malformed =
-        config.malformed_pct > 0 &&
-        sequence % 100 < static_cast<uint64_t>(config.malformed_pct);
-    request.source =
-        malformed ? kMalformedPayload
-                  : config.payloads[sequence % config.payloads.size()];
-    request.deadline_ms = config.deadline_ms;
-    request.trace = config.trace_pct > 0 &&
-                    (sequence + 50) % 100 <
-                        static_cast<uint64_t>(config.trace_pct);
-    Clock::time_point submit_start =
-        config.open_loop ? scheduled_at : Clock::now();
-    Result<JobId> id = (*client)->Submit(request);
-    ++tally->submitted;
-    if (!id.ok()) {
-      if (id.status().code() == StatusCode::kUnavailable &&
-          id.status().message().find("connect") == std::string::npos) {
-        // The daemon answered with backpressure — a response, not a drop —
-        // unless the transport itself died (peer closed / send failed).
-        if (id.status().message().find("closed") != std::string::npos ||
-            id.status().message().find("send:") != std::string::npos ||
-            id.status().message().find("recv:") != std::string::npos) {
-          ++tally->dropped;
-          return;
-        }
-        ++tally->backpressure;
-        continue;
-      }
-      ++tally->dropped;
-      return;  // transport error: the session is unusable
-    }
-    Result<ConversionResponse> response = (*client)->Fetch(*id, true);
-    if (!response.ok()) {
-      ++tally->dropped;
-      return;
-    }
-    tally->latencies_us.push_back(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                              submit_start)
-            .count()));
-    if (response->state == JobState::kFailed) {
-      ++tally->failed;
-    } else if (response->accepted) {
-      ++tally->accepted;
-    } else {
-      ++tally->refused;
-    }
-  }
-  (*client)->Quit();
-}
-
 int Usage() {
   std::fprintf(
       stderr,
@@ -267,7 +124,7 @@ int Usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  LoadConfig config;
+  LoadOptions config;
   std::string report_path;
   std::string scrape_url;
   bool drain = false;
@@ -325,9 +182,6 @@ int main(int argc, char** argv) {
       (config.open_loop && config.rps <= 0)) {
     return Usage();
   }
-  if (config.payloads.empty()) {
-    config.payloads = {kSeniorsCpl, kSalesRptCpl};
-  }
 
   std::string scrape_host;
   int scrape_port = 0;
@@ -346,37 +200,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<WorkerTally> tallies(config.connections);
-  std::vector<std::thread> workers;
-  std::atomic<uint64_t> rate_tickets{0};
-  Clock::time_point start = Clock::now();
-  for (int i = 0; i < config.connections; ++i) {
-    workers.emplace_back(RunWorker, std::cref(config), i, &rate_tickets,
-                         start, &tallies[i]);
-  }
-  for (std::thread& worker : workers) worker.join();
-  double elapsed_s = std::chrono::duration_cast<std::chrono::duration<double>>(
-                         Clock::now() - start)
-                         .count();
-
-  WorkerTally total;
-  std::vector<uint64_t> latencies;
-  for (const WorkerTally& tally : tallies) {
-    total.submitted += tally.submitted;
-    total.accepted += tally.accepted;
-    total.refused += tally.refused;
-    total.failed += tally.failed;
-    total.backpressure += tally.backpressure;
-    total.dropped += tally.dropped;
-    total.connect_errors += tally.connect_errors;
-    latencies.insert(latencies.end(), tally.latencies_us.begin(),
-                     tally.latencies_us.end());
-  }
-  std::sort(latencies.begin(), latencies.end());
-  uint64_t p50 = PercentileUs(latencies, 50);
-  uint64_t p99 = PercentileUs(latencies, 99);
-  double rps_done =
-      elapsed_s > 0 ? static_cast<double>(latencies.size()) / elapsed_s : 0;
+  LoadReport total = RunLoad(config);
+  uint64_t p50 = total.PercentileUs(50);
+  uint64_t p99 = total.PercentileUs(99);
 
   // Scraped before any --drain, while the 10s rate window still covers the
   // load interval.
@@ -435,7 +261,7 @@ int main(int argc, char** argv) {
       "  \"drain\": \"%s\"\n"
       "}\n",
       config.open_loop ? "open-loop" : "closed-loop", config.rps,
-      config.connections, elapsed_s,
+      config.connections, total.elapsed_s,
       static_cast<unsigned long long>(total.submitted),
       static_cast<unsigned long long>(total.accepted),
       static_cast<unsigned long long>(total.refused),
@@ -443,7 +269,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(total.backpressure),
       static_cast<unsigned long long>(total.dropped),
       static_cast<unsigned long long>(total.connect_errors),
-      rps_done, static_cast<unsigned long long>(p50),
+      total.completed_per_sec(), static_cast<unsigned long long>(p50),
       static_cast<unsigned long long>(p99), daemon_json.c_str(),
       drain ? drained.ToString().c_str() : "not requested");
 
